@@ -11,9 +11,7 @@
 //! ```
 //!
 //! `FLEXTM_SCHED_TXNS` overrides timed transactions per thread
-//! (default 96); `FLEXTM_SCHED_STRICT=1` disables the scheduler's
-//! fast paths (`MachineConfig::strict_lockstep`) to measure the
-//! conservative engine; `FLEXTM_SCHED_THREADS` overrides the thread
+//! (default 96); `FLEXTM_SCHED_THREADS` overrides the thread
 //! count (diagnostic — a 1-thread run isolates raw protocol cost from
 //! scheduling cost). Passing `--protocol` forces the 1-thread
 //! diagnostic (reported as `protocol_1thread_hashtable`, see
@@ -21,13 +19,10 @@
 //! are given. Passing `--trace` enables the per-attempt trace: the
 //! abort-attribution/cycle-bucket table goes to stderr and the JSONL
 //! trace to `FLEXTM_TRACE_OUT` (or stderr when unset), keeping the
-//! stdout JSON line machine-readable either way.
-//! `FLEXTM_SCHED_EPOCH` overrides the lease batching width
-//! (`MachineConfig::epoch_width`; simulated results are
-//! width-invariant, only host speed moves). Passing `--json` (or
+//! stdout JSON line machine-readable either way. Passing `--json` (or
 //! setting `FLEXTM_SCHED_JSON=1`) extends the stdout record with the
 //! run parameters a sampling harness needs to archive the sample
-//! as-is: engine, epoch width, warmup and seed.
+//! as-is: engine, warmup and seed.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::envcfg;
@@ -39,7 +34,6 @@ use std::time::Instant;
 
 fn main() {
     let txns: u64 = envcfg::or_exit(envcfg::parse("FLEXTM_SCHED_TXNS", 96));
-    let strict = envcfg::or_exit(envcfg::flag("FLEXTM_SCHED_STRICT"));
     let protocol_mode = std::env::args().any(|a| a == "--protocol");
     let trace_mode = std::env::args().any(|a| a == "--trace");
     let json_mode = std::env::args().any(|a| a == "--json")
@@ -61,11 +55,6 @@ fn main() {
     if threads > config.cores {
         config = config.with_cores(threads);
     }
-    config.strict_lockstep = strict;
-    if let Some(width) = envcfg::or_exit(envcfg::parse_opt("FLEXTM_SCHED_EPOCH")) {
-        config.epoch_width = width;
-    }
-    let epoch_width = config.epoch_width;
     let machine = Machine::new(config);
     let mut wl = HashTable::paper();
     wl.setup(&machine);
@@ -100,7 +89,6 @@ fn main() {
     // round-trip it in a test.
     let record = SchedRecord {
         bench: bench_name,
-        strict_lockstep: strict,
         threads,
         txns_per_thread: txns,
         committed: result.committed,
@@ -108,10 +96,8 @@ fn main() {
         sim_ops: ops,
         sim_cycles: report.elapsed_cycles(),
         fast_ops: report.sched.fast_ops,
-        epoch_ops: report.sched.epoch_ops,
         slow_ops: report.sched.slow_ops,
         grants: report.sched.grants,
-        bank_conflict_grants: report.sched.bank_conflict_grants,
         rendezvous_per_op: report.rendezvous_per_op(),
         wall_s,
         sim_ops_per_s: ops_per_s,
@@ -122,7 +108,6 @@ fn main() {
             } else {
                 "os_threads"
             },
-            epoch_width,
             warmup_per_thread: 8,
             seed: "0xF1E7".to_string(),
         }),

@@ -237,8 +237,6 @@ pub fn run_cell_timed(spec: &CellSpec) -> CellResult {
 pub struct SchedRunParams {
     /// Execution engine ("fiber" or "os_threads").
     pub engine: &'static str,
-    /// Lease batching width (`MachineConfig::epoch_width`).
-    pub epoch_width: usize,
     /// Untimed warm-up transactions per thread.
     pub warmup_per_thread: u64,
     /// Workload RNG seed, in hex.
@@ -253,8 +251,6 @@ pub struct SchedRunParams {
 pub struct SchedRecord {
     /// Bench name ("sched_16core_hashtable", …).
     pub bench: String,
-    /// Whether the conservative lockstep engine was forced.
-    pub strict_lockstep: bool,
     /// Worker threads.
     pub threads: usize,
     /// Timed transactions per thread.
@@ -267,17 +263,13 @@ pub struct SchedRecord {
     pub sim_ops: u64,
     /// Elapsed simulated cycles.
     pub sim_cycles: u64,
-    /// Scheduler fast-path ops.
+    /// Ops run inline (`SchedStats::fast_ops`).
     pub fast_ops: u64,
-    /// Ops granted from the epoch buffer.
-    pub epoch_ops: u64,
-    /// Full-rendezvous ops.
+    /// Ops that queued (`SchedStats::slow_ops`).
     pub slow_ops: u64,
-    /// Lease grants.
+    /// Switches to another worker (`SchedStats::grants`).
     pub grants: u64,
-    /// Grants whose op conflicted on a bank lease.
-    pub bank_conflict_grants: u64,
-    /// Rendezvous per simulated op.
+    /// Switches per simulated op.
     pub rendezvous_per_op: f64,
     /// Host wall seconds.
     pub wall_s: f64,
@@ -297,18 +289,15 @@ impl SchedRecord {
         let mut line = format!(
             concat!(
                 "{{\"bench\": \"{}\", ",
-                "\"strict_lockstep\": {}, ",
                 "\"threads\": {}, \"txns_per_thread\": {}, ",
                 "\"committed\": {}, \"attempts\": {}, ",
                 "\"sim_ops\": {}, \"sim_cycles\": {}, ",
-                "\"fast_ops\": {}, \"epoch_ops\": {}, \"slow_ops\": {}, ",
-                "\"grants\": {}, \"bank_conflict_grants\": {}, ",
+                "\"fast_ops\": {}, \"slow_ops\": {}, \"grants\": {}, ",
                 "\"rendezvous_per_op\": {:.4}, ",
                 "\"wall_s\": {:.3}, ",
                 "\"sim_ops_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}"
             ),
             self.bench,
-            self.strict_lockstep,
             self.threads,
             self.txns_per_thread,
             self.committed,
@@ -316,10 +305,8 @@ impl SchedRecord {
             self.sim_ops,
             self.sim_cycles,
             self.fast_ops,
-            self.epoch_ops,
             self.slow_ops,
             self.grants,
-            self.bank_conflict_grants,
             self.rendezvous_per_op,
             self.wall_s,
             self.sim_ops_per_s,
@@ -328,10 +315,10 @@ impl SchedRecord {
         if let Some(p) = &self.params {
             line.push_str(&format!(
                 concat!(
-                    ", \"engine\": \"{}\", \"epoch_width\": {}, ",
+                    ", \"engine\": \"{}\", ",
                     "\"warmup_per_thread\": {}, \"seed\": \"{}\""
                 ),
-                p.engine, p.epoch_width, p.warmup_per_thread, p.seed,
+                p.engine, p.warmup_per_thread, p.seed,
             ));
         }
         line.push('}');

@@ -85,7 +85,7 @@ impl Driver {
     }
 
     /// Deep copy for state forking (the `SimState` side goes through
-    /// `clone_for_check`, which rebuilds the scheduler lanes).
+    /// `clone_for_check`).
     pub fn fork(&self) -> Self {
         Driver {
             st: self.st.clone_for_check(),

@@ -419,10 +419,9 @@ impl<'r> FlexTmThread<'r> {
                 }
                 match self.cm.on_conflict(ctx) {
                     CmDecision::Stall(cycles) => {
-                        // Fused backoff + alert poll: one check per
-                        // scheduling grant, not one rendezvous per spin
-                        // step. Stalling may have got us aborted
-                        // meanwhile.
+                        // Fused backoff + alert poll: one operation,
+                        // not one per spin step. Stalling may have got
+                        // us aborted meanwhile.
                         let alert = self.proc.stall_poll(cycles);
                         self.emit(TraceEv::Stall { cycles });
                         stalls += 1;
@@ -516,8 +515,8 @@ impl<'r> FlexTmThread<'r> {
         if let Some(token) = self.rt.commit_token {
             let mut backoff = 16u64;
             // First poll stands alone; every later one is fused into
-            // the backoff stall so each spin iteration takes one
-            // rendezvous fewer. The op order an observer sees is
+            // the backoff stall so each spin iteration issues one
+            // operation fewer. The op order an observer sees is
             // unchanged: poll, load, [cas], stall, poll, load, …
             let mut alert = self.proc.take_alert();
             loop {

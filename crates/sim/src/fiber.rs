@@ -1,5 +1,5 @@
 //! Stackful-fiber primitives for the single-OS-thread execution engine
-//! (x86_64 only; `machine.rs` falls back to OS threads elsewhere).
+//! (x86_64 Linux only; `machine.rs` uses OS threads elsewhere).
 //!
 //! A fiber is a call stack plus a saved stack pointer. Switching parks
 //! the current computation by pushing the SysV callee-saved registers
@@ -12,20 +12,37 @@
 //! so both are constant machine-wide.
 //!
 //! Switching costs a few dozen nanoseconds. The OS-thread engine pays a
-//! futex park/unpark (microseconds, plus a full scheduler trip on a
+//! park/unpark (microseconds, plus a full scheduler trip on a
 //! single-CPU host) for exactly the same handoff; that gap is the whole
 //! reason this module exists.
 //!
-//! Nothing here unwinds across a switch: the machine's fiber bodies run
-//! under `catch_unwind`, and a resumed fiber that must die re-raises the
-//! panic on its own stack (see `fiber_park` in `machine.rs`).
+//! # Soundness
+//!
+//! * **Switch.** A context is resumed at most once per suspension: the
+//!   machine resumes a worker only after popping it from its queue, and
+//!   the driver only from the last exit (`machine.rs`, "Safety"). The
+//!   switch is an opaque `extern "C"` call, so the compiler treats it
+//!   like any call that may read and write all escaped memory.
+//! * **No unwinding across a switch.** The machine's fiber bodies run
+//!   under `catch_unwind`; a resumed fiber that must die raises its
+//!   panic on its own stack. The first-entry trampoline never returns
+//!   (`ud2`), and the entry function aborts if its job ever does.
+//! * **Stacks.** Each stack is its own anonymous mapping whose lowest
+//!   page is `PROT_NONE`. Rust probes every frame larger than a page,
+//!   so an overflow faults on the guard page (SIGSEGV, as on an
+//!   overflowing OS thread) instead of writing into a neighbouring
+//!   allocation. The mapping is freed only after every fiber on it has
+//!   exited (`run_fibers` drops the stacks after the driver resumes).
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::ffi::{c_int, c_void};
 
-/// Fiber stack size. Matches the 2 MiB default of `std::thread`, which
-/// the OS-thread engine implicitly granted every simulated thread; the
+/// Usable fiber stack size. Matches the 2 MiB default of `std::thread`,
+/// which the OS-thread engine grants every simulated thread; the
 /// red-black-tree workloads recurse and were sized against that.
 pub(crate) const STACK_BYTES: usize = 2 * 1024 * 1024;
+
+/// The guard page below each stack (the x86_64 Linux page size).
+const GUARD_BYTES: usize = 4096;
 
 /// Entry signature a prepared stack starts in. The function must never
 /// return — the word above its frame is a trap, not a return address.
@@ -93,28 +110,70 @@ extern "C" {
     fn flextm_sim_fiber_start() -> !;
 }
 
-/// A heap-allocated fiber stack. Freed on drop; the owner must ensure
-/// no suspended context still points into it (the machine's driver
-/// joins every fiber — normally or by unwinding — before dropping).
+// Linux x86_64 values; std already links libc.
+const PROT_NONE: c_int = 0;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_STACK: c_int = 0x2_0000;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+/// A fiber stack: an anonymous mapping of a guard page plus
+/// [`STACK_BYTES`]. Pages are zero-filled on first touch, so an unused
+/// stack costs no resident memory. Unmapped on drop; the owner must
+/// ensure no suspended context still points into it (the machine's
+/// driver outlives every fiber of a run).
 pub(crate) struct FiberStack {
     base: *mut u8,
 }
 
 impl FiberStack {
-    fn layout() -> Layout {
-        // 16-byte alignment and a 16-multiple size keep the stack top
-        // aligned, which `prepare` relies on.
-        Layout::from_size_align(STACK_BYTES, 16).expect("static stack layout")
-    }
+    const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
 
     pub(crate) fn new() -> Self {
-        // SAFETY: the layout has non-zero size. `alloc_zeroed` keeps the
-        // pages clean (and, on Linux, lazily mapped) rather than
-        // inheriting heap garbage into backtraces.
+        // SAFETY: a fresh private anonymous mapping aliases nothing;
+        // the result is checked before use.
         #[allow(unsafe_code)]
-        let base = unsafe { alloc_zeroed(Self::layout()) };
-        assert!(!base.is_null(), "fiber stack allocation failed");
-        FiberStack { base }
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                Self::MAP_BYTES,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        // MAP_FAILED is (void*)-1.
+        assert!(
+            base as isize != -1,
+            "fiber stack mmap failed: {}",
+            std::io::Error::last_os_error()
+        );
+        // Owned from here on, so a failed `mprotect` still unmaps it.
+        let stack = FiberStack { base: base.cast() };
+        // SAFETY: the first page lies inside the mapping just created.
+        #[allow(unsafe_code)]
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert!(
+            rc == 0,
+            "fiber stack guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        stack
     }
 
     /// Forges the initial suspended context: resuming the returned rsp
@@ -131,15 +190,15 @@ impl FiberStack {
     /// [6] ret = fiber_start    (the trampoline)
     /// ```
     ///
-    /// The rsp sits 56 bytes below the 16-aligned stack top, so after
+    /// The rsp sits 56 bytes below the page-aligned stack top, so after
     /// the pops and the `ret` the trampoline runs 16-aligned and its
     /// `call` gives `entry` a standard SysV frame.
     pub(crate) fn prepare(&self, entry: Entry, arg: *mut u8) -> u64 {
-        let top = self.base as u64 + STACK_BYTES as u64;
+        let top = self.base as u64 + Self::MAP_BYTES as u64;
         let rsp = top - 7 * 8;
-        // SAFETY: the seven slots lie inside this stack's allocation,
-        // just below its top, and u64 stores at 8-byte offsets from a
-        // 16-aligned top are aligned.
+        // SAFETY: the seven slots lie inside this stack's writable
+        // pages, just below its top, and u64 stores at 8-byte offsets
+        // from a page-aligned top are aligned.
         #[allow(unsafe_code)]
         unsafe {
             let slot = rsp as *mut u64;
@@ -158,10 +217,10 @@ impl FiberStack {
 
 impl Drop for FiberStack {
     fn drop(&mut self) {
-        // SAFETY: `base` came from `alloc_zeroed` with the same layout.
+        // SAFETY: `base` is the mapping `new` created, with this length,
+        // and no fiber runs on it any more (type doc).
         #[allow(unsafe_code)]
-        unsafe {
-            dealloc(self.base, Self::layout());
-        }
+        let rc = unsafe { munmap(self.base.cast(), Self::MAP_BYTES) };
+        debug_assert_eq!(rc, 0, "fiber stack munmap failed");
     }
 }

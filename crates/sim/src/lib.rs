@@ -15,7 +15,7 @@
 //! * **Alert-On-Update** on the transaction status word;
 //! * the hardware-filled **overflow table** with commit-time copy-back
 //!   and NACK window;
-//! * Table 3(a) latencies and a conservative-lockstep deterministic
+//! * Table 3(a) latencies and a deterministic min-(clock, core)
 //!   scheduler, so every run is exactly repeatable.
 //!
 //! Software (the `flextm` crate and the `flextm-stm` baselines) drives
@@ -41,12 +41,12 @@
 //! assert_eq!(report.total(|c| c.stores), 20);
 //! ```
 
-// The one crate with `unsafe`: the scheduler's shared-state cell in
-// `machine.rs` (lease-serialized `UnsafeCell<SimState>`) and the
-// stackful-fiber engine (`fiber.rs` context switches plus the fiber
-// bodies' lifetime erasure in `machine.rs`). Each site carries a
-// SAFETY comment and an explicit `#[allow(unsafe_code)]`; everything
-// else is denied.
+// The one crate with `unsafe`: the scheduler's single-runner state
+// cells in `machine.rs` and the stackful-fiber engine (`fiber.rs`
+// context switches and guarded stacks, plus the fiber bodies' lifetime
+// erasure in `machine.rs`). Both module docs give the soundness
+// argument; each site carries a SAFETY comment and an explicit
+// `#[allow(unsafe_code)]`; everything else is denied.
 #![deny(unsafe_code)]
 
 pub mod api;
@@ -55,7 +55,7 @@ mod cache;
 mod config;
 mod core_state;
 mod cst;
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod fiber;
 mod l2;
 mod machine;

@@ -1,275 +1,121 @@
-//! The machine: shared simulator state plus the deterministic
-//! mailbox/lease scheduler that simulated threads synchronize through.
+//! The machine: shared simulator state plus the single-runner scheduler
+//! that retires every core's operations in one deterministic order.
 //!
 //! # The deterministic order
 //!
-//! Each simulated operation (load, store, CAS-Commit, `work`, …) is a
-//! call into the machine. Operations execute one at a time in a fixed
-//! total order: always the operation issued by the live core with the
-//! smallest `(local clock, core id)`, and only once *every* live core
-//! has an operation posted (conservative lockstep). The order therefore
+//! Each simulated operation (load, store, CAS-Commit, `with_sync`, …)
+//! is a call into the machine. Operations execute one at a time in a
+//! fixed total order: always the pending operation with the smallest
+//! `(issue clock, core id)` over every live core. The order therefore
 //! depends only on the program and its seeds — fully repeatable, which
 //! the test suite relies on.
 //!
 //! # How it is scheduled
 //!
-//! The original engine realized that order with a global
-//! `Mutex<SimState>` and a per-core `Condvar` ping-pong: one lock
-//! round-trip and usually one context switch *per simulated operation*.
-//! The current engine keeps the order bit-for-bit but decouples
-//! scheduling from the protocol state:
+//! Exactly one worker (simulated thread) executes at any moment: the
+//! *runner*. Every other live worker is parked in one queue, a
+//! min-`(clock, core)` heap keyed by the clock the worker resumes at —
+//! the issue clock of the operation it waits to run, or, for a worker
+//! that has not started yet, its clock at the start of the run (a lower
+//! bound on its first operation's clock, since clocks only grow).
 //!
-//! * **Mailboxes.** Each core owns a slot in the scheduler table. To
-//!   run an operation it posts the op's issue clock there and parks
-//!   once. The operation itself (a closure over `&mut SimState`) stays
-//!   on the worker thread — only the timestamp travels.
-//! * **Driver decisions.** Whenever a post or a thread exit completes
-//!   the "all live cores posted" condition, the next core is picked by
-//!   min-`(clock, id)` and granted a *lease* on the state. The driver
-//!   is a migrating role played by whichever thread noticed the
-//!   condition; there is no extra scheduler thread to wake.
-//! * **Batching.** A grant carries a *horizon*: the smallest
-//!   `(clock, id)` posted by any other live core. While the holder's
-//!   next operation is issued strictly below the horizon, the
-//!   one-at-a-time scheduler would pick this core again anyway — all
-//!   other cores are parked with their posted timestamps frozen — so
-//!   the holder executes it immediately with **zero synchronization**.
-//!   Only when its clock crosses the horizon does it hand the lease
-//!   back (one lock round-trip for a whole batch). A single-threaded
-//!   run has horizon `(∞, ∞)`: after the first operation every call
-//!   degenerates to a plain function call.
-//! * **Epoch-batched grants.** The granter does not rescan every
-//!   mailbox on every grant. It keeps a sorted *grant buffer* of the
-//!   `epoch_width + 1` smallest posted keys, bounded by an *epoch
-//!   horizon* (the largest buffered key): every posted key below the
-//!   horizon is provably in the buffer, so successive grants pop the
-//!   buffered minimum — `O(width)` instead of `O(cores)` — and the full
-//!   scan runs only when the buffer drains. The grant *sequence* is
-//!   identical for every width (always the global minimum key); only
-//!   host-side scan work moves, which `tests/determinism.rs` pins with
-//!   an epoch-width sweep.
-//! * **Lock-free local ops.** `work(n)` adds to the issuing core's
-//!   clock and `now()` reads it; neither touches protocol state,
-//!   produces events, or observes other cores, so they commute with
-//!   every remote operation and complete without the scheduler even
-//!   when the core does not hold the lease (see `work_op`).
+//! * **Inline.** An operation whose key is below the queue minimum runs
+//!   at once: every parked worker's next operation is ordered after it.
+//!   This is the strict second-minimum horizon of the original
+//!   conservative-lockstep engine, so the schedule is the same
+//!   (DESIGN.md, "Why nothing runs past the strict horizon"). A
+//!   single-threaded run never queues at all.
+//! * **Queued.** Otherwise the runner replaces the queue minimum with
+//!   itself (one sift-down) and switches to the worker it removed.
+//! * **Exit.** A finishing worker pops the minimum and switches to it;
+//!   the run ends when the queue is empty.
+//! * **Local ops.** `work(n)`, `stall(n)` and `now()` touch only the
+//!   runner's own clock and cycle buckets, never the queue.
 //!
-//! [`crate::MachineConfig::strict_lockstep`] disables the batching and
-//! the lock-free paths, forcing the original one-op-at-a-time
-//! rendezvous. The schedule — and therefore every event, counter and
-//! clock — is identical either way; `tests/determinism.rs` pins that
-//! equivalence.
+//! Native code between operations runs while its worker is the runner,
+//! so it is serialized too, but it is not ordered by clock: a worker
+//! that has not started is switched to as soon as its start key is the
+//! minimum. Workloads therefore must not let native code depend on
+//! another worker's native code; cross-thread host state goes through
+//! [`crate::ProcHandle::with_sync`], which is an ordinary operation.
 //!
 //! # Execution engines
 //!
-//! The *schedule* above is engine-independent; what varies is how a
-//! parked core waits for its grant:
+//! Both engines make the same queue decisions; they differ only in what
+//! a switch is.
 //!
-//! * **Fibers** (default on x86_64). Every simulated thread is a
-//!   stackful fiber on the one OS thread that called [`Machine::run`];
-//!   a lease handoff is a ~50 ns userspace context switch straight
-//!   into the grantee (`fiber.rs`). With one runnable OS thread the
-//!   host scheduler is never involved, and host-side counters such as
-//!   `grants` become exactly repeatable too.
-//! * **OS threads** ([`crate::MachineConfig::os_threads`], and the
-//!   only engine on other architectures). One scoped thread per
-//!   simulated thread; a handoff is an unpark plus a futex wait —
-//!   microseconds, and worse when host cores are scarce.
+//! * **Fibers** (default on x86_64 Linux). Every worker is a stackful
+//!   fiber on the OS thread that called [`Machine::run`]; a switch is a
+//!   userspace context switch straight into the next worker
+//!   (`fiber.rs`).
+//! * **OS threads** ([`crate::MachineConfig::os_threads`], and the only
+//!   engine on other targets). One scoped thread per worker, passing a
+//!   baton: a per-core flag plus park/unpark. Every thread waits for
+//!   the baton before its body starts and holds it until it switches
+//!   or exits, so its native code is serialized exactly as on fibers.
 //!
-//! Both engines run the same `try_grant`/mailbox code, so every
-//! simulated event, counter, and clock is bit-identical across them;
-//! the cross-engine test in this module pins that.
+//! Every simulated event, counter and clock — and the scheduler
+//! counters — is therefore identical across the engines; a test in
+//! this module compares whole reports.
 //!
-//! # Safety discipline
+//! # Safety
 //!
-//! `SimState` lives in an [`UnsafeCell`] next to (not inside) the
-//! scheduler mutex. It is touched only (a) by the unique lease holder,
-//! between two critical sections on the scheduler lock, or (b) through
-//! `Machine` methods that hold the lock and assert no run is live.
-//! Lease handoff always happens inside the lock, so the previous
-//! holder's writes are published to the next. Per-core clocks live in
-//! cache-line-padded atomics (`Lanes`) shared by `SimState` and the
-//! fast paths; each lane is written only by its owning worker (or by
-//! the machine between runs), so relaxed ordering suffices.
+//! `SimState` and the scheduler state live in [`UnsafeCell`]s that are
+//! read and written without a lock. The argument:
+//!
+//! 1. **One runner.** During a run, only the runner dereferences the
+//!    cells, through [`as_runner`]. A worker becomes the runner only
+//!    by being switched to, and stops only by switching away or
+//!    exiting, so at most one thread of control holds the machine.
+//!    Every [`crate::ProcHandle`] method runs on the handle's own
+//!    worker, which is then the runner: a handle is `!Send + !Sync`, so
+//!    it cannot reach another thread, and using it outside its run is
+//!    documented as forbidden.
+//! 2. **No reference survives a switch.** `as_runner` hands out the two
+//!    `&mut` for the duration of one closure, and no closure switches:
+//!    [`sync_op`] and [`exit`] decide under `as_runner`, switch
+//!    outside it, and re-derive afterwards. An operation's closure
+//!    never issues another operation.
+//! 3. **Handoffs publish.** Fibers share one OS thread, so program
+//!    order is the happens-before order. The baton flag is stored with
+//!    release ordering after the previous runner's last write and
+//!    loaded with acquire ordering before the next runner's first.
+//! 4. **Outside a run, a claim.** [`Machine::run`] and every borrow
+//!    through the handle (`with_state`, `report`, `align_clocks`)
+//!    claim the `busy` flag with an acquire compare-exchange and
+//!    release it on exit. A second claimant — another host thread, or
+//!    a run body calling back into the handle — panics instead of
+//!    aliasing the state.
+//!
+//! The fiber switch and stacks carry their own argument in `fiber.rs`.
 
 use crate::config::ConfigError;
 use crate::config::MachineConfig;
 use crate::core_state::CoreState;
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::fiber;
 use crate::l2::L2;
 use crate::mem::Memory;
+use crate::proc::ProcHandle;
 use crate::stats::{EventLog, MachineReport, SchedStats};
 use flextm_sig::{LineAddr, LineHasher, ProcSet, SigKey};
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use std::cell::Cell;
 use std::cell::UnsafeCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicUsize,
+    AtomicBool,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::Thread;
 use std::time::Instant;
 
-/// One core's scheduler lane: the clock and fast-path bookkeeping that
-/// must be accessible without the scheduler lock. Padded so that
-/// neighbouring cores' lanes do not false-share a cache line.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct CoreLane {
-    /// The core's local clock, in cycles. Written only by the owning
-    /// worker thread (via `SimState::advance` or the `work` fast path)
-    /// or by the machine between runs (`align_clocks`).
-    clock: AtomicU64,
-    /// Cycles charged through `work` — kept here so the lock-free path
-    /// can account them without touching `SimState`; folded into
-    /// [`crate::CoreStats::work_cycles`] at report time.
-    work_cycles: AtomicU64,
-    /// Cycles charged through `stall` (contention-manager backoff and
-    /// stall spins) plus end-of-run clock alignment; folded into
-    /// [`crate::CoreStats::stall_cycles`] at report time.
-    stall_cycles: AtomicU64,
-    /// Operations completed without a scheduler rendezvous.
-    fast_ops: AtomicU64,
-    /// Owner-thread cache: does this core currently hold the lease?
-    holds_lease: AtomicBool,
-    /// Grant flag: set (with the horizon below) by the granter inside
-    /// the scheduler's critical section, consumed by the parked owner.
-    granted: AtomicBool,
-    /// The lease horizon, written by the granter before `granted`. An
-    /// op issued at `(clock, id)` strictly below
-    /// `(horizon_clock, horizon_id)` may run on the fast path.
-    horizon_clock: AtomicU64,
-    horizon_id: AtomicUsize,
-}
-
-/// The per-core lanes, shared between [`SimState`] (the protocol
-/// charges time through [`SimState::advance`]) and the scheduler.
-#[derive(Debug, Clone)]
-struct Lanes(Arc<[CoreLane]>);
-
-impl Lanes {
-    fn new(cores: usize) -> Self {
-        Lanes((0..cores).map(|_| CoreLane::default()).collect())
-    }
-
-    fn clock(&self, core: usize) -> u64 {
-        self.0[core].clock.load(Relaxed)
-    }
-}
-
-/// Adds to a single-writer atomic counter without a locked RMW.
-///
-/// Every `CoreLane` counter (`clock`, `work_cycles`, `fast_ops`) is
-/// written only by the lane's owning worker thread — the protocol only
-/// ever advances the *requesting* core, and the lock-free `work`/`now`
-/// paths touch only the issuing core's lane — so a plain load + store
-/// cannot lose an update. `fetch_add` would compile to a full fence on
-/// x86 and sits on the per-operation fast path; this is the cheap
-/// equivalent for the one-writer case.
-#[inline]
-fn lane_add(counter: &AtomicU64, delta: u64) {
-    counter.store(counter.load(Relaxed).wrapping_add(delta), Relaxed);
-}
-
-/// Number of scheduler banks the simulated line space is sharded into
-/// for ownership leases. A power of two; the bank of a line is a
-/// line-hash (its low index bits), mirroring how the directory indexes
-/// lines. 64 banks keep the blocked-bank set a single `u64` while
-/// giving 128 cores enough spread that disjoint working sets land in
-/// disjoint banks.
-pub(crate) const SCHED_BANKS: usize = 64;
-
-/// The scheduler bank of a cache line.
-#[inline]
-pub(crate) fn bank_of(line: LineAddr) -> usize {
-    (line.index() as usize) & (SCHED_BANKS - 1)
-}
-
-/// What a parked core's posted operation is about to touch, from the
-/// scheduler's point of view. Posted alongside the issue clock and
-/// mirrored into the bank-ownership table (`BankLeases`): the granter
-/// uses it to attribute rendezvous to line-bank conflicts
-/// (`SchedStats::bank_conflict_grants`) and to cross-check the
-/// ownership table on every grant.
-#[derive(Debug, Clone, Copy)]
-enum OpClass {
-    /// Touches only the posting core's own state (and its clock):
-    /// alert/CST/signature reads, attempt bookkeeping, aborts.
-    Pure,
-    /// A memory access to the named line (load/store/tload/tstore/
-    /// cas/aload): touches the line, the posting core's own state, and
-    /// — via the directory — other cores' metadata *for that line and
-    /// its signature image*.
-    Line(LineAddr),
-    /// A CAS-Commit on the named TSW line: everything `Line` touches,
-    /// plus a drain of the committer's write set into memory.
-    Commit(LineAddr),
-    /// May read or write anything (save/restore, summary install,
-    /// descheduling, `with_sync`).
-    Global,
-}
-
-impl OpClass {
-    /// The named line, for classes that name one.
-    fn line(self) -> Option<LineAddr> {
-        match self {
-            OpClass::Line(l) | OpClass::Commit(l) => Some(l),
-            OpClass::Pure | OpClass::Global => None,
-        }
-    }
-}
-
-/// Scheduler-side bank ownership table, mirroring the directory: bank
-/// `b` is owned by every core whose posted op targets a line hashing
-/// to `b`. Maintained by the post/grant/deregister transitions under
-/// the scheduler lock. The granter consults it on every grant: a
-/// granted `Line`/`Commit` op whose bank is simultaneously owned by
-/// another parked core is a *bank-conflict rendezvous*
-/// (`SchedStats::bank_conflict_grants`) — the host-side mirror of the
-/// paper's line-conflict taxonomy, and the signal that a finer-grained
-/// lease could not have avoided this handoff.
-#[derive(Debug)]
-struct BankLeases {
-    owners: Box<[ProcSet]>,
-}
-
-impl BankLeases {
-    fn new() -> Self {
-        BankLeases {
-            owners: vec![ProcSet::empty(); SCHED_BANKS].into_boxed_slice(),
-        }
-    }
-
-    /// Records `core`'s posted op as owning `line`'s bank.
-    fn post(&mut self, core: usize, class: OpClass) {
-        if let Some(line) = class.line() {
-            self.owners[bank_of(line)].insert(core);
-        }
-    }
-
-    /// Releases the ownership `post` recorded (grant or deregister).
-    fn consume(&mut self, core: usize, class: OpClass) {
-        if let Some(line) = class.line() {
-            self.owners[bank_of(line)].remove(core);
-        }
-    }
-
-    /// True if any core other than `me` owns `bank`. Resumable
-    /// `ProcSet` scan: skip `me` without collecting the set.
-    fn any_other_owner(&self, bank: usize, me: usize) -> bool {
-        match self.owners[bank].first_set_from(0) {
-            Some(p) if p != me => true,
-            Some(p) => self.owners[bank].first_set_from(p + 1).is_some(),
-            None => false,
-        }
-    }
-}
-
 /// All mutable simulator state. Exclusive access is enforced by the
-/// scheduler's lease discipline (see the module doc), not by a lock
-/// around this struct.
+/// single-runner rule (see the module doc), not by a lock around this
+/// struct.
 #[derive(Debug)]
 pub struct SimState {
     /// Machine configuration (immutable after construction).
@@ -282,7 +128,9 @@ pub struct SimState {
     pub l2: L2,
     /// Optional protocol event log.
     pub log: EventLog,
-    lanes: Lanes,
+    /// Each core's local clock, in cycles. The four cycle buckets in
+    /// each core's stats sum to it.
+    clocks: Vec<u64>,
     /// The signature hasher every core shares (same configuration), so
     /// one access hashes its line exactly once into a [`SigKey`].
     hasher: LineHasher,
@@ -312,7 +160,7 @@ impl SimState {
         let cores = (0..config.cores).map(|_| CoreState::new(&config)).collect();
         let l2 = L2::new(config.l2_sets(), config.l2_ways, config.signature.clone());
         let log = EventLog::new(config.record_events);
-        let lanes = Lanes::new(config.cores);
+        let clocks = vec![0; config.cores];
         let hasher = config.signature.hasher();
         SimState {
             config,
@@ -320,7 +168,7 @@ impl SimState {
             cores,
             l2,
             log,
-            lanes,
+            clocks,
             hasher,
             sig_live: ProcSet::empty(),
             ot_present: ProcSet::empty(),
@@ -420,25 +268,12 @@ impl SimState {
 
     /// Advances `core`'s clock by `cycles`.
     pub fn advance(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].clock, cycles);
+        self.clocks[core] += cycles;
     }
 
     /// The current local time of `core`.
     pub fn now(&self, core: usize) -> u64 {
-        self.lanes.clock(core)
-    }
-
-    /// Accounts `cycles` of computation to `core` (the slow-path `work`
-    /// uses this; the fast path bumps the lane directly).
-    pub(crate) fn charge_work(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].work_cycles, cycles);
-    }
-
-    /// Accounts `cycles` of contention-manager stall/backoff to `core`
-    /// (the slow-path `stall` uses this; the fast path bumps the lane
-    /// directly).
-    pub(crate) fn charge_stall(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].stall_cycles, cycles);
+        self.clocks[core]
     }
 
     /// Advances `core` by `cycles` and charges them to the memory
@@ -454,9 +289,8 @@ impl SimState {
     /// [`SimState::abandon_attempt`] reclassifies everything accrued
     /// since this mark into `wasted_cycles`.
     pub fn begin_attempt(&mut self, core: usize) {
-        let work = self.lanes.0[core].work_cycles.load(Relaxed);
-        let mem = self.cores[core].stats.mem_cycles;
-        self.cores[core].attempt_mark = Some((work, mem));
+        let s = &self.cores[core].stats;
+        self.cores[core].attempt_mark = Some((s.work_cycles, s.mem_cycles));
     }
 
     /// Clears the attempt mark without reclassifying — called when an
@@ -474,52 +308,22 @@ impl SimState {
         let Some((work0, mem0)) = self.cores[core].attempt_mark.take() else {
             return;
         };
-        let lane_work = &self.lanes.0[core].work_cycles;
-        let dw = lane_work.load(Relaxed) - work0;
-        let dm = self.cores[core].stats.mem_cycles - mem0;
-        lane_add(lane_work, dw.wrapping_neg());
-        self.cores[core].stats.mem_cycles -= dm;
-        self.cores[core].stats.wasted_cycles += dw + dm;
+        let s = &mut self.cores[core].stats;
+        s.wasted_cycles += (s.work_cycles - work0) + (s.mem_cycles - mem0);
+        s.work_cycles = work0;
+        s.mem_cycles = mem0;
     }
 
-    /// Cycles accounted to `core`'s work bucket so far (lane-resident
-    /// until [`Machine::report`] folds them into the stats copy).
-    #[cfg(any(test, feature = "check"))]
-    pub fn lane_work_cycles(&self, core: usize) -> u64 {
-        self.lanes.0[core].work_cycles.load(Relaxed)
-    }
-
-    /// Cycles accounted to `core`'s stall bucket so far.
-    #[cfg(any(test, feature = "check"))]
-    pub fn lane_stall_cycles(&self, core: usize) -> u64 {
-        self.lanes.0[core].stall_cycles.load(Relaxed)
-    }
-
-    /// Deep copy for the model checker's state forking. The scheduler
-    /// lanes hold the clocks and work/stall buckets in atomics shared
-    /// with worker threads; the copy gets fresh, unshared lanes seeded
-    /// with the current values (lease/grant bookkeeping starts clear —
-    /// checker states are never mid-run).
+    /// Deep copy for the model checker's state forking.
     #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
-        let lanes = Lanes::new(self.config.cores);
-        for (fresh, old) in lanes.0.iter().zip(self.lanes.0.iter()) {
-            fresh.clock.store(old.clock.load(Relaxed), Relaxed);
-            fresh
-                .work_cycles
-                .store(old.work_cycles.load(Relaxed), Relaxed);
-            fresh
-                .stall_cycles
-                .store(old.stall_cycles.load(Relaxed), Relaxed);
-            fresh.fast_ops.store(old.fast_ops.load(Relaxed), Relaxed);
-        }
         SimState {
             config: self.config.clone(),
             mem: self.mem.clone(),
             cores: self.cores.iter().map(CoreState::clone_for_check).collect(),
             l2: self.l2.clone(),
             log: self.log.clone(),
-            lanes,
+            clocks: self.clocks.clone(),
             hasher: self.hasher.clone(),
             sig_live: self.sig_live,
             ot_present: self.ot_present,
@@ -559,18 +363,11 @@ impl SimState {
             }
 
             // Accounting conservation: the four cycle buckets sum to
-            // the core clock at every instant (work and stall live in
-            // the lanes until report time), and every abort/failed
+            // the core clock at every instant, and every abort/failed
             // commit carries exactly one recorded cause.
             let s = &core.stats;
-            let buckets = self.lane_work_cycles(i)
-                + s.work_cycles
-                + self.lane_stall_cycles(i)
-                + s.stall_cycles
-                + s.mem_cycles
-                + s.wasted_cycles;
             assert_eq!(
-                buckets,
+                s.cycle_sum(),
                 self.now(i),
                 "core {i}: cycle buckets diverge from the clock"
             );
@@ -626,620 +423,350 @@ impl SimState {
     }
 }
 
-/// Sentinel in [`Sched::posted`]: the core is computing natively, no
-/// operation is posted. Simulated clocks start at zero and advance by
-/// small latencies; they can never reach `u64::MAX`.
-const NOT_POSTED: u64 = u64::MAX;
-
-/// The scheduler table: who is live, what each live core has posted,
-/// and who currently holds the lease on the state. Kept as dense
-/// structure-of-arrays — a [`ProcSet`] of live cores plus a flat clock
-/// array with a sentinel — so the grant scan at 64 or 128 cores walks
-/// set bits and one contiguous `u64` row instead of chasing
-/// `Vec<Option<_>>` tags.
-#[derive(Debug)]
+/// The scheduler: the run's parked workers and its counters. Touched
+/// only by the runner (module doc, "Safety").
+#[derive(Debug, Default)]
 struct Sched {
-    /// Set of cores with a worker between `run` entry and deregister.
-    live: ProcSet,
-    /// Mailbox slots: the issue clock of each core's posted operation,
-    /// or [`NOT_POSTED`] while the core is computing natively.
-    posted: Box<[u64]>,
-    /// What each posted op is about to touch (parallel to `posted`;
-    /// meaningful only while the slot is posted).
-    classes: Box<[OpClass]>,
-    /// Bank-ownership mirror of the posted `Line`/`Commit` ops.
-    banks: BankLeases,
-    /// The epoch grant buffer: posted keys in *descending* order (the
-    /// minimum lives at the tail, so a grant is an `O(1)` pop),
-    /// refilled with the `epoch_width + 1` smallest keys when it
-    /// drains. Between refills it stays exact — every posted key
-    /// strictly below `buf_horizon` is inserted in order on post and
-    /// only the tail is popped on grant — so the tail is always the
-    /// global minimum.
-    scratch: Vec<(u64, usize)>,
-    /// The epoch horizon: the largest key captured by the last refill
-    /// when the buffer filled to capacity (else `(MAX, MAX)`, meaning
-    /// the refill captured *every* posted key). Posts below it must
-    /// enter the buffer; posts above it wait for the next refill.
-    buf_horizon: (u64, usize),
-    /// Number of live cores whose mailbox slot is [`NOT_POSTED`]
-    /// (computing natively). Grants require zero — the conservative
-    /// all-posted rule — checked in O(1) instead of scanning for the
-    /// sentinel.
-    unposted: usize,
-    /// Handles for waking parked workers (registered on first post;
-    /// OS-thread engine only — fibers are resumed by direct switch).
-    threads: Vec<Option<std::thread::Thread>>,
-    /// The core holding the exclusive lease on `Shared::state`.
-    lease: Option<usize>,
-    /// Rendezvous counters, folded into [`MachineReport`].
+    /// Parked workers, min-`(clock, core)` first, each keyed by the
+    /// clock it resumes at: the issue clock of its queued op, or its
+    /// start clock if it has not run yet.
+    queue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Engine counters, folded into [`MachineReport`].
     stats: SchedStats,
+    /// The core whose body panicked, poisoning the machine: every other
+    /// worker bails out, and the handle refuses further use.
+    poisoned: Option<usize>,
 }
 
-/// Per-core fiber contexts for the single-OS-thread engine. Plain
-/// `Cell`s: everything here is touched only by the one OS thread
-/// driving [`Machine::run`] (the driver loop and the fibers it resumes
-/// all share that thread), and runs are serialized by the scheduler
-/// lock, which also publishes these cells across host threads between
-/// runs.
-#[cfg(target_arch = "x86_64")]
+/// Fiber engine contexts: the suspended stack pointer of the `run`
+/// caller and of each worker (or a worker's prepared first context).
+/// Plain cells: all fibers share the calling OS thread, and only the
+/// runner touches them.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 struct FiberHub {
-    /// The driver's suspended context while a fiber runs.
     driver: Cell<u64>,
-    /// Each fiber's suspended context (or prepared initial context).
-    ctx: Vec<Cell<u64>>,
-    /// Fiber `i` has been switched into at least once this run.
-    started: Vec<Cell<bool>>,
-    /// Fiber `i`'s job has completed (its context is dead).
-    finished: Vec<Cell<bool>>,
+    ctx: Box<[Cell<u64>]>,
 }
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl FiberHub {
-    fn new(cores: usize) -> Self {
-        FiberHub {
-            driver: Cell::new(0),
-            ctx: (0..cores).map(|_| Cell::new(0)).collect(),
-            started: (0..cores).map(|_| Cell::new(false)).collect(),
-            finished: (0..cores).map(|_| Cell::new(false)).collect(),
-        }
+    /// Suspends the running context into `save` and resumes `resume`.
+    fn switch(&self, save: &Cell<u64>, resume: &Cell<u64>) {
+        // SAFETY: `resume` holds a context this engine saved or
+        // prepared and has not resumed since: the worker just popped
+        // from the queue (each queue entry is popped once per park),
+        // or the driver suspended in `run_fibers` (resumed once, by the
+        // last exit). Its stack is alive until `run_fibers` returns,
+        // which needs every worker to have exited first. `save` is the
+        // running context's own cell.
+        #[allow(unsafe_code)]
+        unsafe {
+            fiber::flextm_sim_fiber_switch(save.as_ptr(), resume.get())
+        };
     }
 }
 
-/// State shared between the [`Machine`] handle and its worker threads.
-pub(crate) struct Shared {
-    state: UnsafeCell<SimState>,
-    sched: Mutex<Sched>,
-    lanes: Lanes,
-    /// A worker body panicked; everyone must bail out. Atomic (not in
-    /// `Sched`) so parked workers can check it without the lock.
-    poisoned: AtomicBool,
-    strict: bool,
-    /// Run simulated threads as stackful fibers on the calling OS
-    /// thread instead of one OS thread each. Same schedule, same
-    /// results; handoffs cost a userspace switch instead of a futex.
-    use_fibers: bool,
-    /// Effective epoch width (`MachineConfig::epoch_width`, clamped to
-    /// at least 1). Widths above 1 enable the batched grant buffer.
-    epoch: usize,
-    #[cfg(target_arch = "x86_64")]
-    fibers: FiberHub,
+/// OS-thread engine: the baton. `held[i]` is set by the worker handing
+/// the machine to worker `i` and consumed by `i`.
+struct BatonHub {
+    held: Box<[AtomicBool]>,
+    /// The run's worker threads, for unparking. Written by `run_threads`
+    /// before it passes the first baton; read only by baton holders.
+    workers: UnsafeCell<Vec<Thread>>,
 }
 
-// SAFETY: `state` is accessed only by the unique lease holder between
-// two critical sections on `sched`, or through `Machine` methods that
-// hold `sched` and assert no run is live; handoff through the lock
-// publishes the previous holder's writes (module doc, "Safety
-// discipline"). The `fibers` hub's cells are touched only on
-// the OS thread inside `Machine::run` (driver and fibers share it),
-// and runs are serialized — and published across host threads — by the
-// `sched` lock. Everything else in `Shared` is Sync on its own.
+// SAFETY: `held` is atomic; `workers` is written only while no worker
+// holds the baton (before the first pass of a run, after every worker
+// of the previous run has been joined) and is only read in between.
+#[allow(unsafe_code)]
+unsafe impl Sync for BatonHub {}
+
+impl BatonHub {
+    /// Hands the machine to worker `next`. The caller must not touch
+    /// the machine again until it holds the baton once more.
+    fn pass(&self, next: usize) {
+        // SAFETY: see the `Sync` impl — the vector is not written while
+        // any worker of this run is alive.
+        #[allow(unsafe_code)]
+        let thread = unsafe { &(&*self.workers.get())[next] };
+        // Release: every write of this runner happens-before the next
+        // runner's acquire load in `wait`.
+        self.held[next].store(true, Release);
+        thread.unpark();
+    }
+
+    /// Blocks until worker `me` holds the baton. An unpark that arrives
+    /// before the park is absorbed by the park token.
+    fn wait(&self, me: usize) {
+        while !self.held[me].load(Acquire) {
+            std::thread::park();
+        }
+        self.held[me].store(false, Relaxed);
+    }
+}
+
+/// How workers run and switch.
+enum Engine {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    Fibers(FiberHub),
+    Threads(BatonHub),
+}
+
+/// State shared between the [`Machine`] handle and its workers.
+pub(crate) struct Shared {
+    state: UnsafeCell<SimState>,
+    sched: UnsafeCell<Sched>,
+    /// Claimed for the whole of [`Machine::run`] and for every borrow
+    /// of the state through the handle, so none of them can overlap.
+    busy: AtomicBool,
+    engine: Engine,
+}
+
+// SAFETY: the cells are dereferenced only by the runner or by the
+// holder of the `busy` claim (module doc, "Safety"); the fiber hub's
+// cells only on the OS thread inside `Machine::run`, which holds the
+// claim. Everything else in `Shared` is `Sync` on its own.
 #[allow(unsafe_code)]
 unsafe impl Sync for Shared {}
 
-/// Rebuilds the grant buffer: the `epoch_width + 1` smallest posted
-/// keys, ascending, and the epoch horizon (the largest buffered key
-/// when the buffer filled to capacity, else `(MAX, MAX)` — the scan
-/// captured every posted key). Skips [`NOT_POSTED`] slots; the only
-/// one possible mid-grant is the grantee's own, just consumed.
-fn refill(shared: &Shared, sched: &mut Sched) {
-    // `shared.epoch` is clamped to >= 1 at construction (`try_new`);
-    // the clamp is re-applied here so the `scratch.last().unwrap()`
-    // below can never see an empty capped buffer even if a future
-    // construction path forgets it.
-    let epoch = if shared.strict {
-        1
-    } else {
-        shared.epoch.max(1)
-    };
-    let cap = epoch + 1;
-    debug_assert!(cap >= 2, "grant-buffer capacity must be at least 2");
-    sched.scratch.clear();
-    for i in sched.live.iter() {
-        let clock = sched.posted[i];
-        if clock == NOT_POSTED {
-            continue;
-        }
-        let key = (clock, i);
-        if sched.scratch.len() < cap || key < *sched.scratch.last().unwrap() {
-            let at = sched.scratch.partition_point(|&k| k < key);
-            sched.scratch.insert(at, key);
-            sched.scratch.truncate(cap);
-        }
-    }
-    sched.buf_horizon = if sched.scratch.len() == cap {
-        *sched.scratch.last().unwrap()
-    } else {
-        (u64::MAX, usize::MAX)
-    };
-    // The buffer is kept descending (minimum at the tail) so grants
-    // pop in O(1); the capped build above is easiest done ascending.
-    sched.scratch.reverse();
-}
-
-/// Grants the lease to the next runnable core, if any: the minimum
-/// `(posted clock, id)` over live cores, but only when every live core
-/// has posted — the original engine's conservative-lockstep rule,
-/// verbatim.
-///
-/// The minimum comes from the epoch grant buffer. The buffer invariant
-/// — every posted key strictly below `buf_horizon` is buffered, every
-/// unbuffered key is above it — makes the buffered head *exactly* the
-/// global minimum, because entries only leave through grants (head
-/// pops) and every new post below the horizon is inserted in order. A
-/// drained buffer triggers a full mailbox rescan (`refill`), so the
-/// `O(cores)` scan runs once per ~`epoch_width` grants instead of on
-/// every grant; grants served without a rescan count as
-/// `SchedStats::epoch_ops`. Epoch width 1 (and `strict_lockstep`)
-/// degenerate to a rescan per grant — the original strict
-/// second-minimum rule, byte for byte.
-///
-/// The granter does the bookkeeping while it holds the lock: it
-/// consumes the grantee's mailbox slot, computes the grantee's horizon
-/// (the smallest `(clock, id)` among the *other* posted cores — frozen
-/// while they are parked, i.e. the second-smallest key overall), and
-/// publishes both through the grantee's lane. The woken core touches no
-/// lock at all. `caller` (if posting) skips its own wakeup: it
-/// re-checks its lane before parking.
-///
-/// Returns the core to wake, if any (the grantee, when it is not the
-/// caller itself). On the OS-thread engine the caller must drop the
-/// `sched` guard *before* unparking it: waking the grantee while still
-/// holding the lock invites the OS to preempt the granter in favour of
-/// the grantee, which then blocks on this same lock at its next
-/// rendezvous — an extra futex round-trip on every handoff. On the
-/// fiber engine the caller switches directly into the grantee's
-/// context (also after dropping the guard, or the grantee's next lock
-/// would self-deadlock the shared OS thread).
-#[must_use]
-fn try_grant(shared: &Shared, sched: &mut Sched, caller: Option<usize>) -> Option<usize> {
-    if sched.lease.is_some() || shared.poisoned.load(Relaxed) {
-        return None;
-    }
-    if sched.unposted > 0 {
-        return None; // someone is still computing natively
-    }
-    let batching = !shared.strict && shared.epoch > 1;
-    if !batching {
-        // Width 1 / strict: rescan every grant (the buffer would serve
-        // grants scan-free even at width 1, but the knob's contract is
-        // "strict second-minimum only").
-        sched.scratch.clear();
-    }
-    let mut rescanned = false;
-    if sched.scratch.is_empty() {
-        refill(shared, sched);
-        rescanned = true;
-    }
-    let Some((_, next)) = sched.scratch.pop() else {
-        return None; // no live cores remain
-    };
-    sched.lease = Some(next);
-    sched.posted[next] = NOT_POSTED;
-    sched.unposted += 1;
-    let consumed = sched.classes[next];
-    sched.classes[next] = OpClass::Global;
-    if let Some(line) = consumed.line() {
-        let bank = bank_of(line);
-        debug_assert!(
-            sched.banks.owners[bank].contains(next),
-            "granted line op's bank lost its owner bit"
-        );
-        if sched.banks.any_other_owner(bank, next) {
-            sched.stats.bank_conflict_grants += 1;
-        }
-    }
-    sched.banks.consume(next, consumed);
-    // The strict horizon is the true second-smallest key: after the
-    // head pop the buffer's new head is the smallest rival (everything
-    // unbuffered sits above the epoch horizon). A drained buffer is
-    // refilled first — legal mid-grant, since every rival is still
-    // posted and the grantee's consumed slot is skipped.
-    if sched.scratch.is_empty() {
-        refill(shared, sched);
-        rescanned = true;
-    }
-    // A grant that never touched `refill` — neither to find its head
-    // nor to publish its horizon — ran O(log width) total instead of
-    // O(cores): that is the batching win the counter tracks.
-    if batching && !rescanned {
-        sched.stats.epoch_ops += 1;
-    }
-    let second = sched
-        .scratch
-        .last()
-        .copied()
-        .unwrap_or((u64::MAX, usize::MAX));
-    let lane = &shared.lanes.0[next];
-    lane.horizon_clock.store(second.0, Relaxed);
-    lane.horizon_id.store(second.1, Relaxed);
-    lane.granted.store(true, Release);
-    if caller != Some(next) {
-        sched.stats.grants += 1;
-        return Some(next);
-    }
-    None
-}
-
-/// True while `core` holds the lease and an op issued now sits below
-/// the strict horizon: the one-at-a-time scheduler would pick `core`
-/// again anyway, so the op may run with no synchronization at all.
+/// Runs `f` on the machine state and the scheduler. The caller must be
+/// the runner, or hold the `busy` claim outside a run, and `f` must not
+/// switch.
 #[inline]
-fn below_strict_horizon(shared: &Shared, core: usize) -> bool {
-    let lane = &shared.lanes.0[core];
-    if !lane.holds_lease.load(Relaxed) {
-        return false;
-    }
-    let issue = lane.clock.load(Relaxed);
-    let horizon = (
-        lane.horizon_clock.load(Relaxed),
-        lane.horizon_id.load(Relaxed),
-    );
-    (issue, core) < horizon
+fn as_runner<R>(shared: &Shared, f: impl FnOnce(&mut SimState, &mut Sched) -> R) -> R {
+    // SAFETY: by the caller's contract no other thread of control
+    // touches either cell while `f` runs, and no reference outlives it
+    // (module doc, "Safety").
+    #[allow(unsafe_code)]
+    let (st, sched) = unsafe { (&mut *shared.state.get(), &mut *shared.sched.get()) };
+    f(st, sched)
 }
 
-/// Executes one simulated operation for `core`: `f` runs exactly when
-/// the deterministic order reaches the op's `(issue clock, core)`.
-///
-/// Fast path: while `core` holds the lease and the op is issued below
-/// the cached horizon, the one-at-a-time scheduler would pick `core`
-/// again anyway — run `f` directly, no synchronization at all.
-///
-/// `f` may touch anything (`OpClass::Global`): rivals can never run
-/// ahead of it. Memory accesses go through [`sync_mem_op`] /
-/// [`sync_commit_op`] and core-local ops through [`sync_pure_op`],
-/// which post precise classes instead.
+/// Executes one simulated operation for the running worker `core`: `f`
+/// runs exactly when the deterministic order reaches the op's
+/// `(issue clock, core)`. Inline if that key is below the queue
+/// minimum; otherwise `core` takes the minimum's place in the queue and
+/// switches to it, running `f` once it is popped again.
 pub(crate) fn sync_op<R>(shared: &Shared, core: usize, f: impl FnOnce(&mut SimState) -> R) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: this thread holds the lease (only it sets and
-        // clears its own `holds_lease`), so it has exclusive
-        // access to the state.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    slow_op(shared, core, OpClass::Global, f)
-}
-
-/// [`sync_op`] for operations that touch only the issuing core's own
-/// state (alert/CST/signature bookkeeping, attempt marks, aborts):
-/// identical execution, but the rendezvous posts [`OpClass::Pure`] so
-/// rivals' run-ahead is never blocked by it.
-pub(crate) fn sync_pure_op<R>(
-    shared: &Shared,
-    core: usize,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    slow_op(shared, core, OpClass::Pure, f)
-}
-
-/// [`sync_op`] for a memory access to `line` (load/store/tload/
-/// tstore/cas/aload): identical execution, but the rendezvous posts
-/// [`OpClass::Line`] keyed by the line so the scheduler's bank table
-/// and conflict attribution see what the op is about to touch.
-pub(crate) fn sync_mem_op<R>(
-    shared: &Shared,
-    core: usize,
-    line: LineAddr,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    let class = OpClass::Line(line);
-    slow_op(shared, core, class, f)
-}
-
-/// [`sync_op`] for a CAS-Commit on the TSW at `tsw_line`: posts
-/// [`OpClass::Commit`] so the scheduler knows both the TSW line and
-/// the write-set drain are pending.
-pub(crate) fn sync_commit_op<R>(
-    shared: &Shared,
-    core: usize,
-    tsw_line: LineAddr,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    let class = OpClass::Commit(tsw_line);
-    slow_op(shared, core, class, f)
-}
-
-/// The rendezvous path: post the issue clock in the mailbox, hand the
-/// lease back, park until granted, then run `f` under the horizon the
-/// granter computed. "Park" is a futex wait on the OS-thread engine
-/// and a context switch (to the grantee, or back to the driver) on the
-/// fiber engine.
-#[cold]
-fn slow_op<R>(
-    shared: &Shared,
-    core: usize,
-    class: OpClass,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    let lane = &shared.lanes.0[core];
-    let (wake, wake_thread) = {
-        let mut sched = shared.sched.lock().expect("scheduler lock poisoned");
-        if !shared.use_fibers && sched.threads[core].is_none() {
-            sched.threads[core] = Some(std::thread::current());
-        }
-        let clock = lane.clock.load(Relaxed);
-        sched.posted[core] = clock;
-        sched.classes[core] = class;
-        sched.banks.post(core, class);
-        sched.unposted -= 1;
-        // Keep the grant buffer exact: a post below the epoch horizon
-        // enters it in (descending) order — small keys sit near the
-        // tail, so the memmove is short for the common near-minimum
-        // post. Posts above the horizon wait for the next refill.
-        if !shared.strict && shared.epoch > 1 {
-            let key = (clock, core);
-            if key < sched.buf_horizon {
-                let at = sched.scratch.partition_point(|&k| k > key);
-                sched.scratch.insert(at, key);
+    let queued = as_runner(shared, |st, sched| {
+        let key = (st.now(core), core);
+        match sched.queue.peek_mut() {
+            Some(mut min) if min.0 < key => {
+                let next = min.0 .1;
+                *min = Reverse(key);
+                sched.stats.slow_ops += 1;
+                sched.stats.grants += 1;
+                Some(next)
+            }
+            _ => {
+                sched.stats.fast_ops += 1;
+                None
             }
         }
-        sched.stats.slow_ops += 1;
-        if sched.lease == Some(core) {
-            sched.lease = None;
-            lane.holds_lease.store(false, Relaxed);
+    });
+    if let Some(next) = queued {
+        switch(shared, core, next);
+    }
+    as_runner(shared, |st, _| f(st))
+}
+
+/// Parks the runner `me` (already queued) and hands the machine to
+/// `next`. Returns once `me` has been popped and switched to again —
+/// or, if the machine was poisoned meanwhile, panics so the worker
+/// unwinds its own stack.
+#[cold]
+fn switch(shared: &Shared, me: usize, next: usize) {
+    match &shared.engine {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        Engine::Fibers(hub) => hub.switch(&hub.ctx[me], &hub.ctx[next]),
+        Engine::Threads(hub) => {
+            hub.pass(next);
+            hub.wait(me);
         }
-        let wake = try_grant(shared, &mut sched, Some(core));
-        let wake_thread = if shared.use_fibers {
-            None
-        } else {
-            wake.and_then(|next| sched.threads[next].clone())
-        };
-        (wake, wake_thread)
-    };
-    #[cfg(target_arch = "x86_64")]
-    if shared.use_fibers {
-        fiber_park(shared, core, wake);
-    } else {
-        thread_park(shared, lane, wake_thread);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = wake;
-        thread_park(shared, lane, wake_thread);
+    if as_runner(shared, |_, sched| sched.poisoned.is_some()) {
+        panic!("a simulated thread panicked; the machine is poisoned");
     }
-    lane.granted.store(false, Relaxed);
-    lane.holds_lease.store(true, Relaxed);
-    // SAFETY: the grant was published with release ordering from inside
-    // the scheduler's critical section, after the previous holder's
-    // release of the lease — its writes to the state happen-before
-    // ours.
-    #[allow(unsafe_code)]
-    let st = unsafe { &mut *shared.state.get() };
-    f(st)
 }
 
-/// OS-thread park: unpark the grantee (if the caller's post granted
-/// one), then futex-wait until this core's own grant flag shows up. An
-/// unpark can arrive before the park — the park token absorbs it.
-fn thread_park(shared: &Shared, lane: &CoreLane, wake: Option<Thread>) {
-    if let Some(t) = wake {
-        t.unpark();
-    }
-    while !lane.granted.load(Acquire) {
-        if shared.poisoned.load(Relaxed) {
-            panic!("a simulated thread panicked; the machine is poisoned");
+/// A worker's last act: hands the machine to the queue minimum or, when
+/// the queue is empty, back to `run`. A fiber never returns from here.
+fn exit(shared: &Shared, me: usize) {
+    let next = as_runner(shared, |_, sched| {
+        let next = sched.queue.pop().map(|Reverse((_, core))| core);
+        sched.stats.grants += u64::from(next.is_some());
+        next
+    });
+    match &shared.engine {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        Engine::Fibers(hub) => {
+            hub.switch(&hub.ctx[me], next.map_or(&hub.driver, |n| &hub.ctx[n]));
+            unreachable!("finished fiber was resumed");
         }
-        std::thread::park();
-    }
-}
-
-/// Fiber park: switch straight into the grantee's context (no driver
-/// round-trip), or back to the driver when the schedule is blocked on
-/// a fiber that has not started yet. Resumed exactly when granted — or
-/// when the driver is unwinding a poisoned run, in which case the
-/// panic unwinds this fiber's stack into its `catch_unwind`.
-#[cfg(target_arch = "x86_64")]
-fn fiber_park(shared: &Shared, core: usize, grant: Option<usize>) {
-    let lane = &shared.lanes.0[core];
-    let mut resume_to = grant;
-    while !lane.granted.load(Acquire) {
-        if shared.poisoned.load(Relaxed) {
-            panic!("a simulated thread panicked; the machine is poisoned");
+        Engine::Threads(hub) => {
+            if let Some(next) = next {
+                hub.pass(next);
+            }
         }
-        let hub = &shared.fibers;
-        let save = hub.ctx[core].as_ptr();
-        let resume = match resume_to.take() {
-            Some(next) => hub.ctx[next].get(),
-            None => hub.driver.get(),
-        };
-        // SAFETY: `resume` is the suspended context of a live parked
-        // fiber (the grantee `try_grant` just picked) or of the driver
-        // — both saved by this same switch function on this OS thread
-        // and resumed exactly once, here. `save` is this core's own
-        // context cell, which whoever grants us next will resume.
-        #[allow(unsafe_code)]
-        unsafe {
-            fiber::flextm_sim_fiber_switch(save, resume)
-        };
     }
 }
 
-/// Driver-side resume of fiber `i` (initial start, grant-blocked
-/// handback, or poison unwinding).
-#[cfg(target_arch = "x86_64")]
-fn resume_fiber(hub: &FiberHub, i: usize) {
-    let save = hub.driver.as_ptr();
-    let resume = hub.ctx[i].get();
-    // SAFETY: `ctx[i]` holds the prepared initial context of a
-    // not-yet-started fiber or the suspended context of a started,
-    // unfinished one (the driver loop checks `started`/`finished`);
-    // either is resumed at most once before being re-saved.
-    #[allow(unsafe_code)]
-    unsafe {
-        fiber::flextm_sim_fiber_switch(save, resume)
-    };
-}
-
-/// A finished fiber's last act: mark itself dead and switch to the
-/// grantee its deregistration unblocked, or back to the driver. Its
-/// own context is never resumed again.
-#[cfg(target_arch = "x86_64")]
-fn fiber_finish(shared: &Shared, core: usize, grant: Option<usize>) -> ! {
-    let hub = &shared.fibers;
-    hub.finished[core].set(true);
-    let save = hub.ctx[core].as_ptr();
-    let resume = match grant {
-        Some(next) => hub.ctx[next].get(),
-        None => hub.driver.get(),
-    };
-    // SAFETY: as in `fiber_park`; the saved context is dead (guarded by
-    // `finished`), so saving into it merely discards this stack.
-    #[allow(unsafe_code)]
-    unsafe {
-        fiber::flextm_sim_fiber_switch(save, resume)
-    };
-    unreachable!("finished fiber was resumed");
-}
-
-/// `work`: charges `cycles` of local computation. Touches only the
-/// issuing core's lane — no protocol traffic, no events, no reads of
-/// shared state — so it commutes with every remote operation: removing
-/// it from the rendezvous changes no other core's issue clocks and
-/// therefore no scheduling decision.
+/// `work`: charges `cycles` of local computation to the runner. Touches
+/// only its own clock and work bucket, so it needs no ordering: no
+/// other core can observe it before this core's next operation.
 pub(crate) fn work_op(shared: &Shared, core: usize, cycles: u64) {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.clock, cycles);
-        lane_add(&lane.work_cycles, cycles);
-        lane_add(&lane.fast_ops, 1);
-        return;
-    }
-    sync_op(shared, core, |st| {
+    as_runner(shared, |st, sched| {
         st.advance(core, cycles);
-        st.charge_work(core, cycles);
+        st.cores[core].stats.work_cycles += cycles;
+        sched.stats.fast_ops += 1;
     });
 }
 
 /// `stall`: charges `cycles` of contention-manager backoff/stall.
-/// Identical scheduling behaviour to [`work_op`] (same clock advance,
-/// same commutation argument) — only the accounting bucket differs.
+/// Scheduled exactly like [`work_op`]; only the bucket differs.
 pub(crate) fn stall_op(shared: &Shared, core: usize, cycles: u64) {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.clock, cycles);
-        lane_add(&lane.stall_cycles, cycles);
-        lane_add(&lane.fast_ops, 1);
-        return;
-    }
-    sync_op(shared, core, |st| {
+    as_runner(shared, |st, sched| {
         st.advance(core, cycles);
-        st.charge_stall(core, cycles);
+        st.cores[core].stats.stall_cycles += cycles;
+        sched.stats.fast_ops += 1;
     });
 }
 
-/// `now`: reads the issuing core's clock, which only it writes — the
-/// lock-free read returns exactly what the rendezvous would.
+/// `now`: reads the runner's own clock, which only it writes.
 pub(crate) fn now_op(shared: &Shared, core: usize) -> u64 {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        return lane.clock.load(Relaxed);
-    }
-    sync_op(shared, core, |st| st.now(core))
+    as_runner(shared, |st, sched| {
+        sched.stats.fast_ops += 1;
+        st.now(core)
+    })
 }
 
-/// Removes an exiting worker from the schedule; its absence may make
-/// the remaining cores runnable (or, on panic, poisons the machine and
-/// unparks everyone so they can bail out). Returns the granted core,
-/// which a finishing *fiber* must switch into ([`fiber_finish`]); the
-/// OS-thread engine has already unparked it.
-fn deregister(shared: &Shared, core: usize, panicked: bool) -> Option<usize> {
-    let mut wake_all = Vec::new();
-    let (grant, wake_thread) = {
-        let mut sched = shared.sched.lock().expect("scheduler lock poisoned");
-        if panicked {
-            shared.poisoned.store(true, Relaxed);
-        }
-        sched.live.remove(core);
-        // A worker normally exits mid-computation (slot already the
-        // sentinel, counted in `unposted`); a poison-bail instead
-        // unwinds out of a posted rendezvous with its clock still in
-        // the mailbox (and possibly in the grant buffer — harmless:
-        // a poisoned machine grants nothing, and `run` resets the
-        // buffer).
-        if sched.posted[core] == NOT_POSTED {
-            sched.unposted -= 1;
-        } else {
-            sched.posted[core] = NOT_POSTED;
-        }
-        let stale = sched.classes[core];
-        sched.classes[core] = OpClass::Global;
-        sched.banks.consume(core, stale);
-        sched.threads[core] = None;
-        if sched.lease == Some(core) {
-            sched.lease = None;
-            shared.lanes.0[core].holds_lease.store(false, Relaxed);
-        }
-        if shared.poisoned.load(Relaxed) {
-            // Unpark every OS thread; parked workers see the flag and
-            // bail. Parked fibers are instead resumed one by one by
-            // the driver loop so each unwinds its own stack.
-            wake_all = sched.threads.iter().flatten().cloned().collect();
-            (None, None)
-        } else {
-            let grant = try_grant(shared, &mut sched, None);
-            let wake_thread = if shared.use_fibers {
-                None
-            } else {
-                grant.and_then(|next| sched.threads[next].clone())
-            };
-            (grant, wake_thread)
-        }
-    };
-    for t in wake_all {
-        t.unpark();
+/// What one worker left behind: `None` if the run was poisoned before
+/// its body started, else the body's result or panic.
+type Outcome<R> = Option<std::thread::Result<R>>;
+
+/// Runs worker `core`'s body; a panic poisons the machine. A worker
+/// first reached after the poisoning never starts its body.
+fn run_body<R>(
+    shared: &Arc<Shared>,
+    core: usize,
+    body: &(impl Fn(ProcHandle) -> R + Sync),
+) -> Outcome<R> {
+    if as_runner(shared, |_, sched| sched.poisoned.is_some()) {
+        return None;
     }
-    if let Some(t) = wake_thread {
-        t.unpark();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        body(ProcHandle::new(Arc::clone(shared), core))
+    }));
+    if result.is_err() {
+        as_runner(shared, |_, sched| {
+            sched.poisoned.get_or_insert(core);
+        });
     }
-    grant
+    Some(result)
+}
+
+/// The fiber engine: every worker is a stackful fiber on the calling
+/// OS thread. The driver (this function) switches into the queue
+/// minimum and is resumed by the last worker to exit.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn run_fibers<R: Send>(
+    shared: &Arc<Shared>,
+    hub: &FiberHub,
+    threads: usize,
+    body: &(impl Fn(ProcHandle) -> R + Sync),
+) -> Vec<Outcome<R>> {
+    /// One fiber's one-shot job, reached through the raw pointer its
+    /// stack was prepared with.
+    struct Task {
+        job: Option<Box<dyn FnOnce()>>,
+    }
+    extern "C" fn fiber_main(arg: *mut u8) -> ! {
+        // SAFETY: `arg` is the `*mut Task` this fiber's stack was
+        // prepared with below; the boxed task outlives the fiber.
+        #[allow(unsafe_code)]
+        let task = unsafe { &mut *arg.cast::<Task>() };
+        (task.job.take().expect("fiber started twice"))();
+        // The job's last act is `exit`, which never returns here.
+        std::process::abort();
+    }
+
+    let outcomes: Vec<Cell<Outcome<R>>> = (0..threads).map(|_| Cell::new(None)).collect();
+    let mut tasks: Vec<Box<Task>> = (0..threads)
+        .map(|i| {
+            let outcome = &outcomes[i];
+            let job: Box<dyn FnOnce() + '_> = Box::new(move || {
+                outcome.set(run_body(shared, i, body));
+                exit(shared, i);
+            });
+            // SAFETY: lifetime erasure only. Every worker is queued at
+            // the start and leaves the queue only to run, so every job
+            // reaches `exit` — normally, by bailing out of a poisoned
+            // run, or without starting its body — before the last exit
+            // resumes the driver, strictly before `outcomes`, `body` and
+            // the stacks are dropped.
+            #[allow(unsafe_code)]
+            let job: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(job) };
+            Box::new(Task { job: Some(job) })
+        })
+        .collect();
+    let stacks: Vec<fiber::FiberStack> = (0..threads).map(|_| fiber::FiberStack::new()).collect();
+    for (i, stack) in stacks.iter().enumerate() {
+        let arg = (&mut *tasks[i] as *mut Task).cast::<u8>();
+        hub.ctx[i].set(stack.prepare(fiber_main, arg));
+    }
+    if let Some(Reverse((_, first))) = as_runner(shared, |_, sched| sched.queue.pop()) {
+        hub.switch(&hub.driver, &hub.ctx[first]);
+    }
+    drop(tasks);
+    drop(stacks);
+    outcomes.into_iter().map(Cell::into_inner).collect()
+}
+
+/// The OS-thread engine: one scoped thread per worker, passing the
+/// baton along the same queue. The only engine off x86_64 Linux, and
+/// the engine-parity reference elsewhere.
+fn run_threads<R: Send>(
+    shared: &Arc<Shared>,
+    hub: &BatonHub,
+    threads: usize,
+    body: &(impl Fn(ProcHandle) -> R + Sync),
+) -> Vec<Outcome<R>> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|i| {
+                scope.spawn(move || {
+                    hub.wait(i);
+                    let outcome = run_body(shared, i, body);
+                    exit(shared, i);
+                    outcome
+                })
+            })
+            .collect();
+        let handles = workers.iter().map(|w| w.thread().clone()).collect();
+        // SAFETY: every worker is still waiting for its first baton, so
+        // nothing reads the vector yet (`BatonHub`'s `Sync` impl).
+        #[allow(unsafe_code)]
+        unsafe {
+            *hub.workers.get() = handles
+        };
+        if let Some(Reverse((_, first))) = as_runner(shared, |_, sched| sched.queue.pop()) {
+            hub.pass(first);
+        }
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// Exclusive use of the machine through its handle; released on drop
+/// (also when the holder unwinds).
+struct Claim<'a>(&'a AtomicBool);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Release);
+    }
 }
 
 /// The simulated chip multiprocessor.
@@ -1287,66 +814,61 @@ impl Machine {
     pub fn try_new(config: MachineConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let cores = config.cores;
-        let strict = config.strict_lockstep;
-        let use_fibers = cfg!(target_arch = "x86_64") && !config.os_threads;
-        // Widths 0 and 1 both mean "rescan every grant"; clamping here
-        // keeps `refill`'s `cap = epoch + 1 >= 2` invariant explicit so
-        // a zero-width config cannot reach the scheduler.
-        let epoch = config.epoch_width.max(1);
-        let state = SimState::new(config);
-        let lanes = state.lanes.clone();
+        let batons = || {
+            Engine::Threads(BatonHub {
+                held: (0..cores).map(|_| AtomicBool::new(false)).collect(),
+                workers: UnsafeCell::new(Vec::new()),
+            })
+        };
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        let engine = if config.os_threads {
+            batons()
+        } else {
+            Engine::Fibers(FiberHub {
+                driver: Cell::new(0),
+                ctx: (0..cores).map(|_| Cell::new(0)).collect(),
+            })
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        let engine = batons();
         Ok(Machine {
             shared: Arc::new(Shared {
-                state: UnsafeCell::new(state),
-                sched: Mutex::new(Sched {
-                    live: ProcSet::empty(),
-                    posted: vec![NOT_POSTED; cores].into_boxed_slice(),
-                    classes: vec![OpClass::Global; cores].into_boxed_slice(),
-                    banks: BankLeases::new(),
-                    scratch: Vec::with_capacity(epoch + 1),
-                    buf_horizon: (0, 0),
-                    unposted: 0,
-                    threads: vec![None; cores],
-                    lease: None,
-                    stats: SchedStats::default(),
-                }),
-                lanes,
-                poisoned: AtomicBool::new(false),
-                strict,
-                use_fibers,
-                epoch,
-                #[cfg(target_arch = "x86_64")]
-                fibers: FiberHub::new(cores),
+                state: UnsafeCell::new(SimState::new(config)),
+                sched: UnsafeCell::new(Sched::default()),
+                busy: AtomicBool::new(false),
+                engine,
             }),
         })
     }
 
-    /// Locks the scheduler after checking the machine is quiescent, so
-    /// the state may be borrowed through this handle.
-    fn quiesced(&self, caller: &str) -> MutexGuard<'_, Sched> {
-        let sched = self.shared.sched.lock().expect("scheduler lock poisoned");
+    /// Claims the machine for `caller`, refusing while a run (or
+    /// another borrow) holds it and once a run has been poisoned.
+    fn claim(&self, caller: &str) -> Claim<'_> {
+        let busy = &self.shared.busy;
         assert!(
-            !self.shared.poisoned.load(Relaxed),
+            busy.compare_exchange(false, true, Acquire, Relaxed).is_ok(),
+            "{caller} called while a run is in progress (or the state is borrowed)"
+        );
+        let claim = Claim(busy);
+        assert!(
+            as_runner(&self.shared, |_, sched| sched.poisoned.is_none()),
             "{caller}: a simulated thread panicked; the machine is poisoned"
         );
-        assert!(
-            sched.live.is_empty(),
-            "{caller} called while a run is in progress"
-        );
-        sched
+        claim
     }
 
     /// Direct access to simulator state. Only valid while no `run` is
     /// in progress — used to build data structures in memory before a
     /// run and to inspect state afterwards. Accesses made here cost no
     /// simulated time and leave caches untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while a run is in progress — including from a
+    /// run body — or from inside another `with_state`.
     pub fn with_state<R>(&self, f: impl FnOnce(&mut SimState) -> R) -> R {
-        let _sched = self.quiesced("with_state");
-        // SAFETY: no run is live and we hold the scheduler lock, so no
-        // worker thread can touch the state.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *self.shared.state.get() };
-        f(st)
+        let _claim = self.claim("with_state");
+        as_runner(&self.shared, |st, _| f(st))
     }
 
     /// Runs `threads` simulated threads to completion; thread `i`
@@ -1358,202 +880,46 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `threads` exceeds the configured core count or a body
-    /// panics (the panic is propagated; the machine is then poisoned).
-    pub fn run<R: Send>(
-        &self,
-        threads: usize,
-        body: impl Fn(crate::proc::ProcHandle) -> R + Sync,
-    ) -> Vec<R> {
+    /// panics (that panic is propagated; the machine is then poisoned).
+    pub fn run<R: Send>(&self, threads: usize, body: impl Fn(ProcHandle) -> R + Sync) -> Vec<R> {
         let t0 = Instant::now();
-        {
-            let mut sched = self.quiesced("run");
-            let cores = self.shared.lanes.0.len();
+        let _claim = self.claim("run");
+        let shared = &self.shared;
+        as_runner(shared, |st, sched| {
+            let cores = st.clocks.len();
             assert!(
                 threads <= cores,
                 "asked for {threads} threads on a {cores}-core machine"
             );
-            for i in 0..threads {
-                sched.live.insert(i);
-                sched.posted[i] = NOT_POSTED;
-            }
-            sched.unposted = threads;
-            sched.scratch.clear();
-            sched.buf_horizon = (0, 0);
-            for lane in self.shared.lanes.0.iter() {
-                lane.holds_lease.store(false, Relaxed);
-                lane.granted.store(false, Relaxed);
-                lane.horizon_clock.store(0, Relaxed);
-                lane.horizon_id.store(0, Relaxed);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        let results = if self.shared.use_fibers {
-            self.run_fibers(threads, &body)
-        } else {
-            self.run_threads(threads, &body)
+            // A run that panicked before its first switch (say, a
+            // failed stack mapping) leaves its seeds behind.
+            sched.queue.clear();
+            sched
+                .queue
+                .extend((0..threads).map(|i| Reverse((st.clocks[i], i))));
+        });
+        let mut outcomes = match &shared.engine {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Engine::Fibers(hub) => run_fibers(shared, hub, threads, &body),
+            Engine::Threads(hub) => run_threads(shared, hub, threads, &body),
         };
-        #[cfg(not(target_arch = "x86_64"))]
-        let results = self.run_threads(threads, &body);
-        let mut sched = self.shared.sched.lock().expect("scheduler lock poisoned");
-        sched.stats.host_nanos += t0.elapsed().as_nanos() as u64;
-        drop(sched);
-        results
-    }
-
-    /// The OS-thread engine: one scoped thread per simulated thread,
-    /// synchronized through the mailbox scheduler. The only engine off
-    /// x86_64; on x86_64 it is kept behind
-    /// [`MachineConfig::os_threads`] so the cross-engine determinism
-    /// suite can pin fiber/thread equivalence.
-    fn run_threads<R: Send>(
-        &self,
-        threads: usize,
-        body: &(impl Fn(crate::proc::ProcHandle) -> R + Sync),
-    ) -> Vec<R> {
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let proc = crate::proc::ProcHandle::new(Arc::clone(shared), i);
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(proc)));
-                        // Deregister even on panic, or parked siblings
-                        // would wait forever on this core's mailbox.
-                        let _ = deregister(shared, i, result.is_err());
-                        match result {
-                            Ok(r) => r,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulated thread panicked"))
-                .collect()
-        })
-    }
-
-    /// The fiber engine: every simulated thread is a stackful fiber on
-    /// the calling OS thread. The schedule is decided by exactly the
-    /// same mailbox/lease logic as the OS-thread engine — the only
-    /// difference is that "park/unpark" is a ~50 ns userspace context
-    /// switch instead of a futex round-trip (microseconds, plus a full
-    /// OS scheduler trip when host cores are scarce).
-    ///
-    /// The driver starts fibers one at a time; each runs natively until
-    /// its first rendezvous. Once all are started, grants flow directly
-    /// fiber-to-fiber and the driver is only resumed when everyone has
-    /// finished — or, after a poisoning panic, to resume each parked
-    /// survivor so it unwinds its own stack before the stacks are
-    /// freed.
-    #[cfg(target_arch = "x86_64")]
-    fn run_fibers<R: Send>(
-        &self,
-        threads: usize,
-        body: &(impl Fn(crate::proc::ProcHandle) -> R + Sync),
-    ) -> Vec<R> {
-        use std::cell::RefCell;
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-        /// One fiber's one-shot job, reached through the raw pointer
-        /// its stack was prepared with.
-        struct Task {
-            job: Option<Box<dyn FnOnce()>>,
+        let poisoned = as_runner(shared, |_, sched| {
+            sched.stats.host_nanos += t0.elapsed().as_nanos() as u64;
+            sched.poisoned
+        });
+        if let Some(core) = poisoned {
+            match outcomes.swap_remove(core) {
+                Some(Err(payload)) => resume_unwind(payload),
+                _ => unreachable!("the poisoning worker recorded no panic"),
+            }
         }
-        extern "C" fn fiber_main(arg: *mut u8) -> ! {
-            // SAFETY: `arg` is the `*mut Task` this fiber's stack was
-            // prepared with below; the boxed task outlives the fiber.
-            #[allow(unsafe_code)]
-            let task = unsafe { &mut *arg.cast::<Task>() };
-            (task.job.take().expect("fiber started twice"))();
-            // The job's last act is `fiber_finish`, which never
-            // returns here.
-            std::process::abort();
-        }
-
-        let shared = &self.shared;
-        let hub = &shared.fibers;
-        for i in 0..threads {
-            hub.started[i].set(false);
-            hub.finished[i].set(false);
-        }
-
-        let outcomes: Vec<RefCell<Option<std::thread::Result<R>>>> =
-            (0..threads).map(|_| RefCell::new(None)).collect();
-        let mut tasks: Vec<Box<Task>> = (0..threads)
-            .map(|i| {
-                let outcome = &outcomes[i];
-                let job: Box<dyn FnOnce() + '_> = Box::new(move || {
-                    let proc = crate::proc::ProcHandle::new(Arc::clone(shared), i);
-                    let result = catch_unwind(AssertUnwindSafe(|| body(proc)));
-                    let panicked = result.is_err();
-                    *outcome.borrow_mut() = Some(result);
-                    // Deregister even on panic, or the schedule would
-                    // wait forever on this core's mailbox.
-                    let grant = deregister(shared, i, panicked);
-                    fiber_finish(shared, i, grant);
-                });
-                // SAFETY: lifetime erasure only. Every job finishes —
-                // normally or by poison-unwinding — inside the driver
-                // loop below, strictly before `outcomes`, `body`, and
-                // the stacks are dropped.
-                #[allow(unsafe_code)]
-                let job: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(job) };
-                Box::new(Task { job: Some(job) })
+        outcomes
+            .into_iter()
+            .map(|o| match o {
+                Some(Ok(r)) => r,
+                _ => unreachable!("a worker of an unpoisoned run did not finish"),
             })
-            .collect();
-        let stacks: Vec<fiber::FiberStack> =
-            (0..threads).map(|_| fiber::FiberStack::new()).collect();
-        for (i, stack) in stacks.iter().enumerate() {
-            let arg = (&mut *tasks[i] as *mut Task).cast::<u8>();
-            hub.ctx[i].set(stack.prepare(fiber_main, arg));
-        }
-
-        let mut next_start = 0;
-        loop {
-            if shared.poisoned.load(Relaxed) {
-                // Resume parked survivors (never-started fibers have
-                // nothing to unwind) until all have bailed out.
-                match (0..threads).find(|&i| hub.started[i].get() && !hub.finished[i].get()) {
-                    Some(i) => resume_fiber(hub, i),
-                    None => break,
-                }
-                continue;
-            }
-            if next_start < threads {
-                let i = next_start;
-                next_start += 1;
-                hub.started[i].set(true);
-                resume_fiber(hub, i);
-                continue;
-            }
-            if (0..threads).all(|i| hub.finished[i].get()) {
-                break;
-            }
-            // All fibers started, none runnable, no poison: the lease
-            // logic guarantees this cannot happen.
-            unreachable!("fiber driver resumed while fibers are runnable");
-        }
-        drop(tasks);
-        drop(stacks);
-
-        let mut results = Vec::with_capacity(threads);
-        let mut first_panic = None;
-        for cell in outcomes {
-            match cell.into_inner() {
-                Some(Ok(r)) => results.push(r),
-                Some(Err(payload)) => {
-                    first_panic.get_or_insert(payload);
-                }
-                None => {} // poisoned before this fiber started
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        results
+            .collect()
     }
 
     /// Aligns every core's local clock to the current global maximum —
@@ -1569,46 +935,27 @@ impl Machine {
     ///
     /// Panics if called while a run is in progress.
     pub fn align_clocks(&self) {
-        let _sched = self.quiesced("align_clocks");
-        let lanes = &self.shared.lanes;
-        let max = (0..lanes.0.len())
-            .map(|i| lanes.clock(i))
-            .max()
-            .unwrap_or(0);
-        for lane in lanes.0.iter() {
-            // The alignment skip is idle waiting at a barrier: charge
-            // it to the stall bucket so the four buckets keep summing
-            // to the clock.
-            let skipped = max - lane.clock.load(Relaxed);
-            lane_add(&lane.stall_cycles, skipped);
-            lane.clock.store(max, Relaxed);
-        }
+        let _claim = self.claim("align_clocks");
+        as_runner(&self.shared, |st, _| {
+            let max = st.clocks.iter().copied().max().unwrap_or(0);
+            for (clock, core) in st.clocks.iter_mut().zip(&mut st.cores) {
+                // The alignment skip is idle waiting at a barrier:
+                // charge it to the stall bucket so the four buckets
+                // keep summing to the clock.
+                core.stats.stall_cycles += max - *clock;
+                *clock = max;
+            }
+        });
     }
 
     /// Snapshot of counters, clocks and scheduler statistics.
     pub fn report(&self) -> MachineReport {
-        let sched = self.quiesced("report");
-        // SAFETY: no run is live and we hold the scheduler lock.
-        #[allow(unsafe_code)]
-        let st = unsafe { &*self.shared.state.get() };
-        let lanes = &self.shared.lanes;
-        let mut sched_stats = sched.stats;
-        sched_stats.fast_ops = lanes.0.iter().map(|l| l.fast_ops.load(Relaxed)).sum();
-        MachineReport {
-            core_cycles: (0..lanes.0.len()).map(|i| lanes.clock(i)).collect(),
-            cores: st
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let mut s = c.stats;
-                    s.work_cycles = lanes.0[i].work_cycles.load(Relaxed);
-                    s.stall_cycles = lanes.0[i].stall_cycles.load(Relaxed);
-                    s
-                })
-                .collect(),
-            sched: sched_stats,
-        }
+        let _claim = self.claim("report");
+        as_runner(&self.shared, |st, sched| MachineReport {
+            core_cycles: st.clocks.clone(),
+            cores: st.cores.iter().map(|c| c.stats).collect(),
+            sched: sched.stats,
+        })
     }
 }
 
@@ -1703,35 +1050,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_and_fast_schedules_match() {
-        // The knob must change scheduling mechanics only: same clocks,
-        // same counters, same event order.
-        let run = |strict: bool| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.strict_lockstep = strict;
-            let m = Machine::new(cfg);
-            m.with_state(|st| st.mem.write(crate::mem::Addr::new(0x40), 1));
-            m.run(3, |p| {
-                let a = crate::mem::Addr::new(0x40);
-                for i in 0..8 {
-                    let v = p.load(a.offset((p.core() as u64 + i) % 5));
-                    p.store(a.offset(5 + v % 3), v + 1);
-                    p.work(1 + p.core() as u64);
-                }
-            });
-            let r = m.report();
-            let events = m.with_state(|st| st.log.take());
-            (r.core_cycles.clone(), r.cores.clone(), events)
-        };
-        let (fast_clocks, fast_cores, fast_events) = run(false);
-        let (strict_clocks, strict_cores, strict_events) = run(true);
-        assert_eq!(fast_clocks, strict_clocks);
-        assert_eq!(fast_cores, strict_cores);
-        assert_eq!(fast_events, strict_events);
-    }
-
-    #[test]
     fn fast_path_is_used_and_counted() {
+        // One worker never queues: every op runs inline.
         let m = Machine::new(MachineConfig::small_test());
         m.run(1, |p| {
             for _ in 0..100 {
@@ -1740,86 +1060,34 @@ mod tests {
             p.store(crate::mem::Addr::new(0x80), 9);
         });
         let r = m.report();
-        assert!(r.sched.fast_ops >= 100, "fast_ops = {}", r.sched.fast_ops);
-        assert!(r.sched.slow_ops >= 1);
+        assert_eq!(r.sched.fast_ops, 101, "{:?}", r.sched);
+        assert_eq!((r.sched.slow_ops, r.sched.grants), (0, 0));
         assert_eq!(r.cores[0].work_cycles, 100);
     }
 
     #[test]
-    fn strict_mode_disables_fast_paths() {
-        let mut cfg = MachineConfig::small_test();
-        cfg.strict_lockstep = true;
-        let m = Machine::new(cfg);
-        m.run(2, |p| {
-            p.work(5);
-            p.now();
+    fn ops_retire_in_min_clock_id_order() {
+        // The ordering rule itself: number every op as it retires and
+        // record its (issue clock, core); in retire order the keys must
+        // be sorted. Uneven work between ops makes the cores overtake
+        // one another.
+        let retired = std::sync::atomic::AtomicUsize::new(0);
+        let m = Machine::new(MachineConfig::small_test());
+        let per_core = m.run(4, |p| {
+            (0..24u64)
+                .map(|i| {
+                    p.work(1 + (i * 7 + p.core() as u64 * 5) % 11);
+                    let key = (p.now(), p.core());
+                    (p.with_sync(|| retired.fetch_add(1, Relaxed)), key)
+                })
+                .collect::<Vec<_>>()
         });
+        let mut log: Vec<_> = per_core.into_iter().flatten().collect();
+        log.sort_unstable();
+        assert_eq!(log.len(), 4 * 24);
+        assert!(log.windows(2).all(|w| w[0].1 < w[1].1), "{log:?}");
         let r = m.report();
-        assert_eq!(r.sched.fast_ops, 0);
-        assert_eq!(r.sched.epoch_ops, 0);
-        assert!(r.sched.slow_ops >= 4);
-    }
-
-    #[test]
-    fn epoch_batching_relaxes_ops_without_changing_results() {
-        // Three cores hammering disjoint private lines: at width 1
-        // every grant pays a full mailbox rescan, while the epoch
-        // buffer serves most grants from the sorted batch. The batched
-        // path must (a) actually fire and (b) leave every simulated
-        // observable bit-identical to a width-1 run.
-        let run = |width: usize| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.epoch_width = width;
-            let m = Machine::new(cfg);
-            m.run(3, |p| {
-                let base = crate::mem::Addr::new(0x1000 + p.core() as u64 * 0x400);
-                for i in 0..32u64 {
-                    p.store(base.offset(i % 4), i);
-                    let v = p.load(base.offset(i % 4));
-                    p.work(1 + v % 3);
-                }
-            });
-            let r = m.report();
-            let events = m.with_state(|st| st.log.take());
-            (r.core_cycles.clone(), r.cores.clone(), events, r.sched)
-        };
-        let (strict_clocks, strict_cores, strict_events, strict_sched) = run(1);
-        let (clocks, cores, events, sched) = run(8);
-        assert_eq!(strict_clocks, clocks);
-        assert_eq!(strict_cores, cores);
-        assert_eq!(strict_events, events);
-        assert_eq!(strict_sched.epoch_ops, 0, "width 1 must stay strict");
-        assert!(
-            sched.epoch_ops > 0,
-            "no op took the relaxed epoch path: {sched:?}"
-        );
-    }
-
-    #[test]
-    fn zero_epoch_width_runs_like_width_one() {
-        // epoch_width 0 must not panic deep in the grant buffer (the
-        // refill's `cap >= 1` reliance) and must behave exactly like
-        // the strict width-1 engine.
-        let run = |width: usize| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.epoch_width = width;
-            let m = Machine::new(cfg);
-            m.run(3, |p| {
-                let a = crate::mem::Addr::new(0x200);
-                for i in 0..16u64 {
-                    p.store(a.offset(i % 4), i);
-                    p.work(1 + p.core() as u64);
-                }
-            });
-            let r = m.report();
-            (r.core_cycles.clone(), r.cores.clone(), r.sched.epoch_ops)
-        };
-        let (w0_clocks, w0_cores, w0_epoch_ops) = run(0);
-        let (w1_clocks, w1_cores, w1_epoch_ops) = run(1);
-        assert_eq!(w0_clocks, w1_clocks);
-        assert_eq!(w0_cores, w1_cores);
-        assert_eq!(w0_epoch_ops, 0, "width 0 must stay strict");
-        assert_eq!(w1_epoch_ops, 0);
+        assert!(r.sched.slow_ops > 0, "no op ever queued: {:?}", r.sched);
     }
 
     #[test]
@@ -1860,13 +1128,12 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]
     fn fiber_and_thread_engines_simulate_identically() {
-        // The execution engine must be invisible to the simulation:
-        // same clocks, same per-core counters, same event order. (Host
-        // `sched` stats are excluded — the thread engine's `grants`
-        // depends on which racing thread wins the handoff lock.)
+        // The execution engine must be invisible: same clocks, same
+        // per-core counters, same event order, and — since both engines
+        // make the same queue decisions — the same scheduler counters.
         let run = |os_threads: bool| {
             let mut cfg = MachineConfig::small_test();
             cfg.os_threads = os_threads;
@@ -1880,15 +1147,109 @@ mod tests {
                     p.work(1 + p.core() as u64);
                 }
             });
-            let r = m.report();
             let events = m.with_state(|st| st.log.take());
-            (r.core_cycles.clone(), r.cores.clone(), events)
+            (m.report(), events)
         };
-        let (fiber_clocks, fiber_cores, fiber_events) = run(false);
-        let (thread_clocks, thread_cores, thread_events) = run(true);
-        assert_eq!(fiber_clocks, thread_clocks);
-        assert_eq!(fiber_cores, thread_cores);
+        let (fiber_report, fiber_events) = run(false);
+        let (thread_report, thread_events) = run(true);
+        assert!(fiber_report.sched.grants > 0, "{:?}", fiber_report.sched);
+        assert_eq!(fiber_report, thread_report);
         assert_eq!(fiber_events, thread_events);
+    }
+
+    /// Calls `with_state` from inside a run body on the chosen engine.
+    fn with_state_inside_run(os_threads: bool) {
+        let mut cfg = MachineConfig::small_test();
+        cfg.os_threads = os_threads;
+        let m = Machine::new(cfg);
+        m.run(2, |p| {
+            p.load(crate::mem::Addr::new(0x100));
+            if p.core() == 1 {
+                m.with_state(|_| ());
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "with_state called while a run is in progress")]
+    fn with_state_inside_a_run_panics() {
+        with_state_inside_run(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "with_state called while a run is in progress")]
+    fn with_state_inside_a_run_panics_on_thread_engine() {
+        with_state_inside_run(true);
+    }
+
+    /// Test-only switch: set in the child process that the guard-page
+    /// test spawns, which then overflows a fiber stack.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    const OVERFLOW_CHILD: &str = "FLEXTM_SIM_TEST_FIBER_OVERFLOW_CHILD";
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn fiber_stack_overflow_faults_on_the_guard_page() {
+        use std::os::unix::process::ExitStatusExt;
+
+        if std::env::var_os(OVERFLOW_CHILD).is_some() {
+            /// Recurses in frames of more than a page each until the
+            /// stack pointer is below `floor`.
+            fn recurse(floor: usize) -> u8 {
+                let frame = std::hint::black_box([0u8; 4096]);
+                if (&frame as *const [u8; 4096] as usize) < floor {
+                    return frame[0];
+                }
+                recurse(floor).wrapping_add(frame[4095])
+            }
+            extern "C" {
+                fn setrlimit(resource: i32, limit: *const [u64; 2]) -> i32;
+            }
+            // No core file for the expected crash (RLIMIT_CORE = 4).
+            // SAFETY: a valid pointer to a two-word rlimit.
+            #[allow(unsafe_code)]
+            unsafe {
+                setrlimit(4, &[0, 0]);
+            }
+            let m = Machine::new(MachineConfig::small_test());
+            m.run(2, |p| {
+                if p.core() == 0 {
+                    // Core 1 runs first and finishes, so the stack
+                    // mapped just below this one is dead: without a
+                    // guard page, overflowing into it would go
+                    // unnoticed rather than hit unmapped memory.
+                    p.work(1_000);
+                    p.load(crate::mem::Addr::new(0x40));
+                    // 256 KiB past the end of this stack, well inside
+                    // the neighbour below it.
+                    let here = std::hint::black_box(0u8);
+                    let sp = &here as *const u8 as usize;
+                    recurse(sp - crate::fiber::STACK_BYTES - (256 << 10));
+                } else {
+                    p.load(crate::mem::Addr::new(0x80));
+                }
+            });
+            return; // reached only if the overflow went unnoticed
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        for _ in 0..3 {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "machine::tests::fiber_stack_overflow_faults_on_the_guard_page",
+                    "--test-threads=1",
+                ])
+                .env(OVERFLOW_CHILD, "1")
+                .output()
+                .expect("spawn the overflowing child");
+            assert_eq!(
+                out.status.signal(),
+                Some(11),
+                "expected SIGSEGV, got {:?}; stderr: {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 
     #[test]

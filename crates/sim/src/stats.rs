@@ -236,23 +236,21 @@ impl CoreStats {
 /// measurement of the engine itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedStats {
-    /// Operations completed on a fast path (lease batching or the
-    /// lock-free `work`/`now` paths) — no scheduler rendezvous.
+    /// Operations run inline: below the queue minimum, or the local
+    /// `work`/`stall`/`now`.
     pub fast_ops: u64,
-    /// Lease grants served from the epoch grant buffer — no full
-    /// mailbox rescan, just a pop of the buffered minimum key. A
-    /// subset of the grant decisions behind `slow_ops`; zero at epoch
-    /// width 1 (strict second-minimum, rescan every grant).
+    /// Always 0. Counted grants served by the retired epoch grant
+    /// buffer; kept so readers of this struct keep working.
     pub epoch_ops: u64,
-    /// Operations that went through the full mailbox rendezvous.
+    /// Operations that queued: the issuing worker took the queue
+    /// minimum's place and switched to it.
     pub slow_ops: u64,
-    /// Driver wakeups: lease grants that unparked a waiting worker
-    /// (grants a core gave itself while posting are not counted).
+    /// Switches to another worker: one per queued op plus one per
+    /// worker exit that handed the machine on.
     pub grants: u64,
-    /// Grants of a `Line`/`Commit` op whose scheduler bank was
-    /// simultaneously owned by another posted core — rendezvous that
-    /// even a per-bank lease could not have avoided (true line-space
-    /// contention, by bank hash).
+    /// Always 0. Counted grants of ops whose line bank was posted by
+    /// another core, under the retired bank-lease table; kept so
+    /// readers of this struct keep working.
     pub bank_conflict_grants: u64,
     /// Host wall-clock nanoseconds spent inside [`crate::Machine::run`].
     pub host_nanos: u64,
@@ -339,10 +337,10 @@ impl MachineReport {
             + self.total(|c| c.commits + c.failed_commits + c.tx_aborts)
     }
 
-    /// Scheduler rendezvous per simulated operation: lease grants
-    /// divided by `sim_ops` (0.0 when no ops ran). The lease-batching
-    /// figure of merit — strict lockstep pays ~1 grant per op, batched
-    /// horizons push this toward 0.
+    /// Scheduler switches per simulated operation: `grants` divided by
+    /// `sim_ops` (0.0 when no ops ran). Each switch hands the machine
+    /// to another worker, so this is the scheduler's share of the host
+    /// cost per op; a single-threaded run has none.
     pub fn rendezvous_per_op(&self) -> f64 {
         let ops = self.sim_ops();
         if ops == 0 {

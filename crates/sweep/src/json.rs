@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn parses_and_reencodes_bench_style_records_exactly() {
-        let line = "{\"bench\": \"sched_16core_hashtable\", \"strict_lockstep\": false, \
+        let line = "{\"bench\": \"sched_16core_hashtable\", \"os_threads\": false, \
                     \"threads\": 16, \"rendezvous_per_op\": 0.8571, \"wall_s\": 0.061, \
                     \"seed\": \"0xF1E7\", \"samples\": [1, 2, 3]}";
         let doc = parse(line).expect("parses");
@@ -400,10 +400,7 @@ mod tests {
             doc.get("rendezvous_per_op").and_then(Json::as_f64),
             Some(0.8571)
         );
-        assert_eq!(
-            doc.get("strict_lockstep").and_then(Json::as_bool),
-            Some(false)
-        );
+        assert_eq!(doc.get("os_threads").and_then(Json::as_bool), Some(false));
         assert_eq!(
             doc.get("samples").and_then(Json::as_arr).map(<[Json]>::len),
             Some(3)

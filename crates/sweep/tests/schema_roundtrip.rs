@@ -16,7 +16,6 @@ use flextm_sweep::MatrixSpec;
 fn sample_record(params: Option<SchedRunParams>) -> SchedRecord {
     SchedRecord {
         bench: "sched_64core_hashtable".to_string(),
-        strict_lockstep: false,
         threads: 64,
         txns_per_thread: 1536,
         committed: 98304,
@@ -24,10 +23,8 @@ fn sample_record(params: Option<SchedRunParams>) -> SchedRecord {
         sim_ops: 683699,
         sim_cycles: 531018,
         fast_ops: 212195,
-        epoch_ops: 31337,
         slow_ops: 137300,
         grants: 137299,
-        bank_conflict_grants: 44444,
         rendezvous_per_op: 0.8571,
         wall_s: 0.432,
         sim_ops_per_s: 1591007.0,
@@ -40,7 +37,6 @@ fn sample_record(params: Option<SchedRunParams>) -> SchedRecord {
 fn sched_record_round_trips_through_the_sweep_parser() {
     let record = sample_record(Some(SchedRunParams {
         engine: "fiber",
-        epoch_width: 8,
         warmup_per_thread: 8,
         seed: "0xF1E7".to_string(),
     }));
@@ -52,10 +48,6 @@ fn sched_record_round_trips_through_the_sweep_parser() {
         doc.get("bench").and_then(Json::as_str),
         Some("sched_64core_hashtable")
     );
-    assert_eq!(
-        doc.get("strict_lockstep").and_then(Json::as_bool),
-        Some(false)
-    );
     for (key, want) in [
         ("threads", 64),
         ("txns_per_thread", 1536),
@@ -64,11 +56,8 @@ fn sched_record_round_trips_through_the_sweep_parser() {
         ("sim_ops", 683699),
         ("sim_cycles", 531018),
         ("fast_ops", 212195),
-        ("epoch_ops", 31337),
         ("slow_ops", 137300),
         ("grants", 137299),
-        ("bank_conflict_grants", 44444),
-        ("epoch_width", 8),
         ("warmup_per_thread", 8),
     ] {
         assert_eq!(doc.get(key).and_then(Json::as_u64), Some(want), "{key}");

@@ -1,18 +1,17 @@
 //! Determinism regression suite for the execution engine.
 //!
-//! The mailbox scheduler must replay the exact op interleaving of the
-//! original lockstep engine no matter how the host schedules its
-//! threads: ops retire in min-(clock, id) order, so two runs of the
-//! same workload produce the same protocol events, the same counters
-//! and the same simulated cycle counts. These tests pin that down:
+//! The scheduler must replay the exact op interleaving of the original
+//! lockstep engine no matter which execution engine runs it: ops retire
+//! in min-(clock, id) order, so two runs of the same workload produce
+//! the same protocol events, the same counters and the same simulated
+//! cycle counts. These tests pin that down:
 //!
 //! * the same workload run twice yields bit-identical event logs and
 //!   machine reports (scheduler wall-clock excluded by `SchedStats`'s
 //!   `PartialEq`), and
-//! * a `strict_lockstep` run — every fast path disabled, every op
-//!   through the full mailbox rendezvous — yields the same protocol
-//!   events and simulated state as the default engine, proving the
-//!   fast paths are pure performance, not semantics.
+//! * an OS-thread-engine run yields the same protocol events and the
+//!   same whole report as the default fiber engine, proving the engine
+//!   is pure mechanics, not semantics.
 
 //!
 //! It also pins the observability layer added on top:
@@ -42,10 +41,10 @@ fn small_run() -> RunConfig {
 
 /// One complete measured run on a fresh machine; returns every
 /// recorded protocol event plus the final whole-machine report.
-fn run_once(mut workload: Box<dyn Workload>, strict: bool) -> (Vec<Event>, MachineReport) {
+fn run_once(mut workload: Box<dyn Workload>, os_threads: bool) -> (Vec<Event>, MachineReport) {
     let mut config = MachineConfig::paper_default().with_cores(THREADS);
     config.record_events = true;
-    config.strict_lockstep = strict;
+    config.os_threads = os_threads;
     let machine = Machine::new(config);
     workload.setup(&machine);
     let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
@@ -229,87 +228,20 @@ fn event_log_off_does_not_perturb_counters() {
     assert_eq!(with_events.core_cycles, without.core_cycles);
 }
 
-/// Strict lockstep (all scheduler fast paths off) must be an exact
-/// semantic no-op: same events, same per-core counters, same simulated
-/// cycles. Only the host-side fast/slow split may differ.
+/// The OS-thread engine passes a baton over the same queue the fiber
+/// engine switches through, so it must be an exact no-op: same events,
+/// same per-core counters, same simulated cycles, same scheduler
+/// counters.
 #[test]
-fn strict_lockstep_is_semantically_identical() {
-    let (events_fast, report_fast) = run_once(Box::new(HashTable::paper()), false);
-    let (events_strict, report_strict) = run_once(Box::new(HashTable::paper()), true);
+fn os_thread_engine_is_semantically_identical() {
+    let (events_fiber, report_fiber) = run_once(Box::new(HashTable::paper()), false);
+    let (events_thread, report_thread) = run_once(Box::new(HashTable::paper()), true);
     assert_eq!(
-        events_fast, events_strict,
-        "strict_lockstep changed the protocol event stream"
+        events_fiber, events_thread,
+        "the OS-thread engine changed the protocol event stream"
     );
     assert_eq!(
-        report_fast.cores, report_strict.cores,
-        "strict_lockstep changed simulated per-core counters"
-    );
-    assert_eq!(
-        report_fast.core_cycles, report_strict.core_cycles,
-        "strict_lockstep changed simulated time"
-    );
-    assert_eq!(
-        report_strict.sched.fast_ops, 0,
-        "strict_lockstep left a fast path enabled"
-    );
-    assert_eq!(
-        report_strict.sched.epoch_ops, 0,
-        "strict_lockstep left the epoch-batched lease enabled"
-    );
-}
-
-/// One traced, event-recorded run at an explicit epoch width.
-fn run_epoch(width: usize) -> (Vec<Event>, MachineReport, String) {
-    let mut config = MachineConfig::paper_default().with_cores(THREADS);
-    config.record_events = true;
-    config.epoch_width = width;
-    let machine = Machine::new(config);
-    let mut workload: Box<dyn Workload> = Box::new(HashTable::paper());
-    workload.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
-    tm.set_tracing(true);
-    run_measured(&machine, &tm, workload.as_ref(), small_run());
-    let trace = flextm_trace::to_jsonl(&tm.take_trace());
-    let events = machine.with_state(|st| st.log.take());
-    (events, machine.report(), trace)
-}
-
-/// The epoch-batched lease horizon is pure performance: every width
-/// must produce the same protocol events, the same per-core counters,
-/// the same simulated cycles and the same attempt trace. Only the
-/// host-side fast/epoch/slow split may move. Width 1 is the strict
-/// second-minimum rule, so this also pins "batching off" against
-/// "batching on".
-#[test]
-fn epoch_width_sweep_is_semantically_identical() {
-    let (events_1, report_1, trace_1) = run_epoch(1);
-    let mut batched_ran = 0u64;
-    for width in [4usize, 16] {
-        let (events_w, report_w, trace_w) = run_epoch(width);
-        assert_eq!(
-            events_1, events_w,
-            "epoch width {width} changed the protocol event stream"
-        );
-        assert_eq!(
-            report_1.cores, report_w.cores,
-            "epoch width {width} changed simulated per-core counters"
-        );
-        assert_eq!(
-            report_1.core_cycles, report_w.core_cycles,
-            "epoch width {width} changed simulated time"
-        );
-        assert_eq!(
-            trace_1, trace_w,
-            "epoch width {width} changed the attempt trace"
-        );
-        batched_ran += report_w.sched.epoch_ops;
-    }
-    assert_eq!(
-        report_1.sched.epoch_ops, 0,
-        "width 1 must mean strict second-minimum only"
-    );
-    assert!(
-        batched_ran > 0,
-        "no op ever took the relaxed epoch path — the sweep is vacuous"
+        report_fiber, report_thread,
+        "the OS-thread engine changed the machine report"
     );
 }

@@ -26,10 +26,11 @@
 #      against its HashMap oracle, and the steady-state allocation gate
 #      (a 16-core HashTable run must add zero host heap allocations per
 #      transaction once warm)
-#  10. fingerprint gate: the 16-core HashTable event/counter digests
-#      must match the recorded values on the fiber engine at epoch
-#      widths 1 and 16 and on the OS-thread engine — any drift is a
-#      semantic change to the simulated machine, not a refactor
+#  10. fingerprint gate: the HashTable event/counter digests must match
+#      the recorded values — 16 cores on the fiber and OS-thread
+#      engines, 64 cores on the fiber engine, 128 cores on both — any
+#      drift is a semantic change to the simulated machine, not a
+#      refactor
 #  11. bench-crate tests (flextm-bench is not a workspace
 #      default-member, so tier-1 `cargo test` skips it): env parsing,
 #      cell records, entry points
@@ -166,13 +167,12 @@ cargo test -q --release -p flextm-sim --test bankdir_props
 echo "== steady-state allocation gate (zero host allocs per txn) =="
 cargo test -q --release -p flextm-workloads --test alloc_gate
 
-echo "== fingerprint gate (16-core digests, both engines, epoch widths 1 and 16) =="
-expect_event="b91bf014cd6135a9"
-expect_counter="578f521ae8b7bc3c"
+echo "== fingerprint gate (16/64/128-core digests, both engines) =="
 check_fp() {
-    # $1: label, rest: env assignments for the run.
-    local label="$1"
-    shift
+    # $1: label, $2/$3: expected event/counter digests, rest: env
+    # assignments for the run.
+    local label="$1" expect_event="$2" expect_counter="$3"
+    shift 3
     local line
     line="$(env "$@" cargo run -q --release -p flextm-bench --bin fingerprint)"
     echo "$line"
@@ -184,10 +184,12 @@ check_fp() {
         ;;
     esac
 }
-check_fp "fiber, default epoch" FLEXTM_FP_DUMMY=0
-check_fp "fiber, epoch width 1" FLEXTM_FP_EPOCH=1
-check_fp "fiber, epoch width 16" FLEXTM_FP_EPOCH=16
-check_fp "os threads, default epoch" FLEXTM_FP_OS_THREADS=1
+check_fp "16 cores, fiber" b91bf014cd6135a9 578f521ae8b7bc3c FLEXTM_FP_THREADS=16
+check_fp "16 cores, os threads" b91bf014cd6135a9 578f521ae8b7bc3c FLEXTM_FP_OS_THREADS=1
+check_fp "64 cores, fiber" d34775d969e420b2 6cc4ea7e1310c55a FLEXTM_FP_THREADS=64
+check_fp "128 cores, fiber" 4f9572484c5837ab 9f9373a80c9906db FLEXTM_FP_THREADS=128
+check_fp "128 cores, os threads" 4f9572484c5837ab 9f9373a80c9906db \
+    FLEXTM_FP_THREADS=128 FLEXTM_FP_OS_THREADS=1
 
 echo "== bench-crate tests (not a default-member; env parsing, cell records) =="
 cargo test -q -p flextm-bench
