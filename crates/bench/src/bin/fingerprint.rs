@@ -15,11 +15,13 @@
 //! same line; anything else is a semantic change, not a refactor.
 //! `FLEXTM_FP_OS_THREADS=1` runs the OS-thread engine instead of the
 //! fiber engine; it must reproduce the exact same digests, which
-//! `scripts/verify.sh` checks on every run.
+//! `scripts/verify.sh` checks on every run. The line ends with the
+//! engine that ran.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::cell::{fnv1a, FNV_OFFSET};
-use flextm_bench::{envcfg, sim_ops};
+use flextm_bench::envcfg;
+use flextm_bench::json::Json;
 use flextm_sim::{Machine, MachineConfig};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
@@ -62,21 +64,18 @@ fn main() {
         );
     }
 
-    println!(
-        concat!(
-            "{{\"bench\": \"fingerprint_hashtable\", \"threads\": {}, ",
-            "\"txns_per_thread\": {}, \"committed\": {}, \"attempts\": {}, ",
-            "\"sim_ops\": {}, \"sim_cycles\": {}, \"events\": {}, ",
-            "\"event_digest\": \"{:016x}\", \"counter_digest\": \"{:016x}\"}}"
-        ),
-        threads,
-        txns,
-        result.committed,
-        result.attempts,
-        sim_ops(&report),
-        report.elapsed_cycles(),
-        events.len(),
-        digest,
-        counters,
-    );
+    let line = Json::obj([
+        ("bench", Json::str("fingerprint_hashtable")),
+        ("threads", Json::num_u64(threads as u64)),
+        ("txns_per_thread", Json::num_u64(txns)),
+        ("committed", Json::num_u64(result.committed)),
+        ("attempts", Json::num_u64(result.attempts)),
+        ("sim_ops", Json::num_u64(report.sim_ops())),
+        ("sim_cycles", Json::num_u64(report.elapsed_cycles())),
+        ("events", Json::num_u64(events.len() as u64)),
+        ("event_digest", Json::str(format!("{digest:016x}"))),
+        ("counter_digest", Json::str(format!("{counters:016x}"))),
+        ("engine", Json::str(machine.engine())),
+    ]);
+    println!("{}", line.encode());
 }

@@ -25,6 +25,7 @@
 //! `wide`, `alphabet`, and the mode-specific knobs) so downstream
 //! tooling can regroup mixed result streams without re-parsing argv.
 
+use flextm_bench::json::Json;
 use flextm_check::{check_liveness, explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
 use flextm_workloads::rng::WlRng;
 use std::time::Instant;
@@ -121,14 +122,19 @@ fn main() {
         cm_tie_break: !a.revert_tie_break,
         ..base
     };
-    // Common parameter echo, spliced into every JSON result line.
-    let params = format!(
-        "\"cores\": {}, \"lines\": {}, \"wide\": {}, \"alphabet\": \"{}\"",
-        a.cores,
-        a.lines,
-        a.wide,
-        alphabet_name(a.alphabet)
-    );
+    // One JSON result line: the bench name, the common parameter echo,
+    // then the mode's own fields.
+    let print_result = |bench: &str, fields: Vec<(&str, Json)>| {
+        let mut line = Json::obj([
+            ("bench", Json::str(bench)),
+            ("cores", Json::num_u64(a.cores as u64)),
+            ("lines", Json::num_u64(a.lines as u64)),
+            ("wide", Json::Bool(a.wide)),
+            ("alphabet", Json::str(alphabet_name(a.alphabet))),
+        ]);
+        line.extend(fields);
+        println!("{}", line.encode());
+    };
     let t0 = Instant::now();
 
     if a.liveness {
@@ -153,12 +159,17 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!(
-            "{{\"bench\": \"proto_check_liveness\", {params}, \
-             \"tie_break\": {}, \"states\": {}, \"edges\": {}, \
-             \"aborts\": {}, \"grants\": {}, \"livelock\": false, \
-             \"wall_s\": {wall:.3}}}",
-            cfg.cm_tie_break, out.states, out.edges, out.aborts, out.grants
+        print_result(
+            "proto_check_liveness",
+            vec![
+                ("tie_break", Json::Bool(cfg.cm_tie_break)),
+                ("states", Json::num_u64(out.states)),
+                ("edges", Json::num_u64(out.edges)),
+                ("aborts", Json::num_u64(out.aborts)),
+                ("grants", Json::num_u64(out.grants)),
+                ("livelock", Json::Bool(false)),
+                ("wall_s", Json::num_fixed(wall, 3)),
+            ],
         );
     } else if a.walk {
         eprintln!(
@@ -183,14 +194,15 @@ fn main() {
                 eprintln!("after {} steps in {wall:.2}s", out.steps);
                 std::process::exit(1);
             }
-            None => {
-                println!(
-                    "{{\"bench\": \"proto_check_walk\", {params}, \
-                     \"steps\": {}, \"seed\": {}, \"wall_s\": {wall:.3}, \
-                     \"violations\": 0}}",
-                    out.steps, a.seed
-                );
-            }
+            None => print_result(
+                "proto_check_walk",
+                vec![
+                    ("steps", Json::num_u64(out.steps)),
+                    ("seed", Json::num_u64(a.seed)),
+                    ("wall_s", Json::num_fixed(wall, 3)),
+                    ("violations", Json::num_u64(0)),
+                ],
+            ),
         }
     } else {
         eprintln!(
@@ -223,20 +235,23 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            None => {
-                println!(
-                    "{{\"bench\": \"proto_check\", {params}, \
-                     \"depth\": {}, \"jobs\": {}, \"states\": {}, \"transitions\": {}, \
-                     \"max_depth\": {}, \"truncated\": {}, \"wall_s\": {wall:.3}, \
-                     \"violations\": 0}}",
-                    a.depth.map_or(-1i64, |d| d as i64),
-                    a.jobs,
-                    out.states,
-                    out.transitions,
-                    out.max_depth,
-                    out.depth_truncated,
-                )
-            }
+            None => print_result(
+                "proto_check",
+                vec![
+                    // -1: unbounded.
+                    (
+                        "depth",
+                        Json::Num(a.depth.map_or(-1, |d| d as i64).to_string()),
+                    ),
+                    ("jobs", Json::num_u64(a.jobs as u64)),
+                    ("states", Json::num_u64(out.states)),
+                    ("transitions", Json::num_u64(out.transitions)),
+                    ("max_depth", Json::num_u64(out.max_depth as u64)),
+                    ("truncated", Json::num_u64(out.depth_truncated)),
+                    ("wall_s", Json::num_fixed(wall, 3)),
+                    ("violations", Json::num_u64(0)),
+                ],
+            ),
         }
     }
 }

@@ -19,25 +19,25 @@
 //! are given. Passing `--trace` enables the per-attempt trace: the
 //! abort-attribution/cycle-bucket table goes to stderr and the JSONL
 //! trace to `FLEXTM_TRACE_OUT` (or stderr when unset), keeping the
-//! stdout JSON line machine-readable either way. Passing `--json` (or
-//! setting `FLEXTM_SCHED_JSON=1`) extends the stdout record with the
-//! run parameters a sampling harness needs to archive the sample
-//! as-is: engine, warmup and seed.
+//! stdout JSON line machine-readable either way. The stdout record
+//! ends with the run parameters a sampling harness needs to archive
+//! the sample as-is: engine, warmup and seed.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::envcfg;
-use flextm_bench::{sim_ops, SchedRecord, SchedRunParams};
+use flextm_bench::SchedRecord;
 use flextm_sim::{Machine, MachineConfig};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
 use std::time::Instant;
 
+const WARMUP: u64 = 8;
+const SEED: u64 = 0xF1E7;
+
 fn main() {
     let txns: u64 = envcfg::or_exit(envcfg::parse("FLEXTM_SCHED_TXNS", 96));
     let protocol_mode = std::env::args().any(|a| a == "--protocol");
     let trace_mode = std::env::args().any(|a| a == "--trace");
-    let json_mode = std::env::args().any(|a| a == "--json")
-        || envcfg::or_exit(envcfg::flag("FLEXTM_SCHED_JSON"));
     let threads: usize = envcfg::or_exit(envcfg::parse(
         "FLEXTM_SCHED_THREADS",
         if protocol_mode { 1 } else { 16 },
@@ -69,24 +69,20 @@ fn main() {
         RunConfig {
             threads,
             txns_per_thread: txns,
-            warmup_per_thread: 8,
-            seed: 0xF1E7,
+            warmup_per_thread: WARMUP,
+            seed: SEED,
         },
     );
     let wall = t0.elapsed();
 
     let report = machine.report();
-    let ops = sim_ops(&report);
+    let ops = report.sim_ops();
     let wall_s = wall.as_secs_f64();
     let ops_per_s = ops as f64 / wall_s;
     let cycles_per_s = report.elapsed_cycles() as f64 / wall_s;
 
-    // One JSON object per line, ready to paste into BENCH_sched.json
-    // or BENCH_protocol.json. `--json` appends the run parameters a
-    // sampling harness needs to archive the record without consulting
-    // the invoking environment. The record type (and its exact
-    // encoding) lives in the library so the sweep farm's parser can
-    // round-trip it in a test.
+    // The record type (and its exact encoding) lives in the library,
+    // next to the test that round-trips it.
     let record = SchedRecord {
         bench: bench_name,
         threads,
@@ -102,15 +98,9 @@ fn main() {
         wall_s,
         sim_ops_per_s: ops_per_s,
         sim_cycles_per_s: cycles_per_s,
-        params: json_mode.then(|| SchedRunParams {
-            engine: if cfg!(target_arch = "x86_64") {
-                "fiber"
-            } else {
-                "os_threads"
-            },
-            warmup_per_thread: 8,
-            seed: "0xF1E7".to_string(),
-        }),
+        engine: machine.engine(),
+        warmup_per_thread: WARMUP,
+        seed: SEED,
     };
     println!("{}", record.to_json());
 

@@ -13,20 +13,21 @@
 //! over the per-core counter deltas, the same construction as the
 //! `fingerprint` binary) and the host wall time, which is the only
 //! nondeterministic field.
+//!
+//! Each record type here keeps its JSON encoder and decoder side by
+//! side, both built on the [`crate::json`] codec.
 
+use crate::json::Json;
 use crate::{RuntimeKind, WorkloadKind};
 use flextm::CmKind;
 use flextm_sim::{Machine, MachineConfig, MachineReport};
 use flextm_workloads::harness::{run_measured, RunConfig, RunResult};
 use std::time::Instant;
 
-/// The op metric shared by every bench binary: executed simulated
-/// instructions that went through the scheduler (memory ops +
-/// commit-path instructions). Derived from machine counters so the
-/// same formula applies to any engine version.
+/// The op metric shared by every bench binary:
+/// [`MachineReport::sim_ops`].
 pub fn sim_ops(r: &MachineReport) -> u64 {
-    r.total(|c| c.loads + c.stores + c.tloads + c.tstores)
-        + r.total(|c| c.commits + c.failed_commits + c.tx_aborts)
+    r.sim_ops()
 }
 
 /// FNV-1a over `bytes`, continuing `h`.
@@ -85,27 +86,43 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// The canonical JSON encoding: fixed field order, fixed spacing,
-    /// seed in hex. This string (not the struct) is what the sweep
-    /// farm hashes for its content-addressed store, and what a child
-    /// process receives on its command line — one form serves both so
-    /// the hash can never drift from what actually runs.
+    /// The canonical JSON object: fixed field order, seed in hex.
+    pub fn to_value(&self) -> Json {
+        Json::obj([
+            ("workload", Json::str(self.workload.label())),
+            ("runtime", Json::str(self.runtime.label())),
+            ("cm", Json::str(cm_label(self.cm))),
+            ("threads", Json::num_u64(self.threads as u64)),
+            ("sig_bits", Json::num_u64(self.sig_bits as u64)),
+            ("seed", Json::hex(self.seed)),
+            ("txns_per_thread", Json::num_u64(self.txns_per_thread)),
+            ("warmup_per_thread", Json::num_u64(self.warmup_per_thread)),
+        ])
+    }
+
+    /// The canonical JSON encoding. This string (not the struct) is
+    /// what the sweep farm hashes for its content-addressed store, and
+    /// what a child process receives on its command line — one form
+    /// serves both so the hash can never drift from what actually runs.
     pub fn canonical_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workload\": \"{}\", \"runtime\": \"{}\", \"cm\": \"{}\", ",
-                "\"threads\": {}, \"sig_bits\": {}, \"seed\": \"0x{:X}\", ",
-                "\"txns_per_thread\": {}, \"warmup_per_thread\": {}}}"
-            ),
-            self.workload.label(),
-            self.runtime.label(),
-            cm_label(self.cm),
-            self.threads,
-            self.sig_bits,
-            self.seed,
-            self.txns_per_thread,
-            self.warmup_per_thread,
-        )
+        self.to_value().encode()
+    }
+
+    /// Decodes the fields [`CellSpec::to_value`] writes; other fields
+    /// of `doc` are ignored, so a cell record decodes to its spec echo.
+    pub fn from_json(doc: &Json) -> Result<CellSpec, String> {
+        Ok(CellSpec {
+            workload: WorkloadKind::from_label(doc.str_field("workload")?)
+                .ok_or("unknown \"workload\"")?,
+            runtime: RuntimeKind::from_label(doc.str_field("runtime")?)
+                .ok_or("unknown \"runtime\"")?,
+            cm: cm_from_label(doc.str_field("cm")?).ok_or("unknown \"cm\"")?,
+            threads: doc.u64_field("threads")? as usize,
+            sig_bits: doc.u64_field("sig_bits")? as usize,
+            seed: doc.u64_field("seed")?,
+            txns_per_thread: doc.u64_field("txns_per_thread")?,
+            warmup_per_thread: doc.u64_field("warmup_per_thread")?,
+        })
     }
 
     /// Short human label for progress output.
@@ -174,27 +191,74 @@ impl CellResult {
         }
     }
 
-    /// One-line JSON record a cell child process prints on stdout:
-    /// the spec echoed back (so the parent can verify nothing was
-    /// mangled in transit) followed by the result fields.
+    /// The spec echo followed by the deterministic result fields: one
+    /// entry of the sweep's `*_cells.json`.
+    pub fn sim_value(&self, spec: &CellSpec) -> Json {
+        let mut doc = spec.to_value();
+        doc.extend([
+            ("committed", Json::num_u64(self.committed)),
+            ("attempts", Json::num_u64(self.attempts)),
+            ("sim_ops", Json::num_u64(self.sim_ops)),
+            ("sim_cycles", Json::num_u64(self.sim_cycles)),
+            ("digest", Json::str(&self.digest)),
+        ]);
+        doc
+    }
+
+    /// The cell record: [`CellResult::sim_value`] plus `wall_s`. A cell
+    /// child process prints it on stdout (the spec echo lets the parent
+    /// verify nothing was mangled in transit) and the store files it.
+    pub fn record(&self, spec: &CellSpec) -> Json {
+        let mut doc = self.sim_value(spec);
+        doc.extend([("wall_s", Json::num_fixed(self.wall_s, 6))]);
+        doc
+    }
+
+    /// [`CellResult::record`], encoded as one line.
     pub fn to_json(&self, spec: &CellSpec) -> String {
-        let spec_json = spec.canonical_json();
-        format!(
-            concat!(
-                "{}, \"committed\": {}, \"attempts\": {}, ",
-                "\"sim_ops\": {}, \"sim_cycles\": {}, ",
-                "\"digest\": \"{}\", \"wall_s\": {:.6}}}"
-            ),
-            &spec_json[..spec_json.len() - 1],
-            self.committed,
-            self.attempts,
-            self.sim_ops,
-            self.sim_cycles,
-            self.digest,
-            self.wall_s,
-        )
+        self.record(spec).encode()
+    }
+
+    /// Decodes a [`CellResult::record`] and checks that it echoes
+    /// `spec`.
+    pub fn from_json(doc: &Json, spec: &CellSpec) -> Result<CellResult, RecordError> {
+        let echoed = CellSpec::from_json(doc).map_err(RecordError::Malformed)?;
+        if echoed != *spec {
+            return Err(RecordError::OtherCell(echoed.canonical_json()));
+        }
+        let result = || -> Result<CellResult, String> {
+            Ok(CellResult {
+                committed: doc.u64_field("committed")?,
+                attempts: doc.u64_field("attempts")?,
+                sim_ops: doc.u64_field("sim_ops")?,
+                sim_cycles: doc.u64_field("sim_cycles")?,
+                digest: doc.str_field("digest")?.to_string(),
+                wall_s: doc.field("wall_s")?.as_f64().ok_or("bad \"wall_s\"")?,
+            })
+        };
+        result().map_err(RecordError::Malformed)
     }
 }
+
+/// Why a cell record did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordError {
+    /// Not a cell record: a field is missing or has the wrong type.
+    Malformed(String),
+    /// A well-formed record of a different cell (its canonical JSON).
+    OtherCell(String),
+}
+
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::Malformed(why) => write!(f, "bad cell record: {why}"),
+            RecordError::OtherCell(got) => write!(f, "record is for a different cell: {got}"),
+        }
+    }
+}
+
+impl std::error::Error for RecordError {}
 
 /// Runs one cell on a fresh machine, exactly as described by `spec`.
 ///
@@ -230,23 +294,10 @@ pub fn run_cell_timed(spec: &CellSpec) -> CellResult {
     CellResult::from_run(&run, t0.elapsed().as_secs_f64())
 }
 
-/// Run parameters appended to the `sched_bench` stdout record under
-/// `--json` — everything a sampling harness needs to archive the
-/// sample without consulting the invoking environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedRunParams {
-    /// Execution engine ("fiber" or "os_threads").
-    pub engine: &'static str,
-    /// Untimed warm-up transactions per thread.
-    pub warmup_per_thread: u64,
-    /// Workload RNG seed, in hex.
-    pub seed: String,
-}
-
-/// The `sched_bench` stdout record. The binary builds one of these and
-/// prints [`SchedRecord::to_json`]; the schema round-trip test in the
-/// sweep crate parses that same encoding, so producer and consumer
-/// cannot drift apart silently.
+/// The `sched_bench` stdout record, ready to paste into
+/// `BENCH_sched.json` / `BENCH_protocol.json`. It echoes the run
+/// parameters (engine, warm-up, seed) so a sampling harness can archive
+/// the sample without consulting the invoking environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedRecord {
     /// Bench name ("sched_16core_hashtable", …).
@@ -277,52 +328,43 @@ pub struct SchedRecord {
     pub sim_ops_per_s: f64,
     /// Simulated cycles per host second.
     pub sim_cycles_per_s: f64,
-    /// Present under `--json`.
-    pub params: Option<SchedRunParams>,
+    /// Execution engine the machine built ([`Machine::engine`]).
+    pub engine: &'static str,
+    /// Untimed warm-up transactions per thread.
+    pub warmup_per_thread: u64,
+    /// Workload RNG seed (printed in hex).
+    pub seed: u64,
 }
 
 impl SchedRecord {
-    /// The exact one-line JSON encoding `sched_bench` has always
-    /// printed (ready to paste into `BENCH_sched.json` /
-    /// `BENCH_protocol.json`).
+    /// The one-line JSON encoding `sched_bench` prints.
     pub fn to_json(&self) -> String {
-        let mut line = format!(
-            concat!(
-                "{{\"bench\": \"{}\", ",
-                "\"threads\": {}, \"txns_per_thread\": {}, ",
-                "\"committed\": {}, \"attempts\": {}, ",
-                "\"sim_ops\": {}, \"sim_cycles\": {}, ",
-                "\"fast_ops\": {}, \"slow_ops\": {}, \"grants\": {}, ",
-                "\"rendezvous_per_op\": {:.4}, ",
-                "\"wall_s\": {:.3}, ",
-                "\"sim_ops_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}"
+        Json::obj([
+            ("bench", Json::str(&self.bench)),
+            ("threads", Json::num_u64(self.threads as u64)),
+            ("txns_per_thread", Json::num_u64(self.txns_per_thread)),
+            ("committed", Json::num_u64(self.committed)),
+            ("attempts", Json::num_u64(self.attempts)),
+            ("sim_ops", Json::num_u64(self.sim_ops)),
+            ("sim_cycles", Json::num_u64(self.sim_cycles)),
+            ("fast_ops", Json::num_u64(self.fast_ops)),
+            ("slow_ops", Json::num_u64(self.slow_ops)),
+            ("grants", Json::num_u64(self.grants)),
+            (
+                "rendezvous_per_op",
+                Json::num_fixed(self.rendezvous_per_op, 4),
             ),
-            self.bench,
-            self.threads,
-            self.txns_per_thread,
-            self.committed,
-            self.attempts,
-            self.sim_ops,
-            self.sim_cycles,
-            self.fast_ops,
-            self.slow_ops,
-            self.grants,
-            self.rendezvous_per_op,
-            self.wall_s,
-            self.sim_ops_per_s,
-            self.sim_cycles_per_s,
-        );
-        if let Some(p) = &self.params {
-            line.push_str(&format!(
-                concat!(
-                    ", \"engine\": \"{}\", ",
-                    "\"warmup_per_thread\": {}, \"seed\": \"{}\""
-                ),
-                p.engine, p.warmup_per_thread, p.seed,
-            ));
-        }
-        line.push('}');
-        line
+            ("wall_s", Json::num_fixed(self.wall_s, 3)),
+            ("sim_ops_per_s", Json::num_fixed(self.sim_ops_per_s, 0)),
+            (
+                "sim_cycles_per_s",
+                Json::num_fixed(self.sim_cycles_per_s, 0),
+            ),
+            ("engine", Json::str(self.engine)),
+            ("warmup_per_thread", Json::num_u64(self.warmup_per_thread)),
+            ("seed", Json::hex(self.seed)),
+        ])
+        .encode()
     }
 }
 
@@ -364,8 +406,10 @@ mod tests {
         );
     }
 
+    /// A cell record decodes back to its result, re-encodes to the same
+    /// bytes, and is refused for any other cell or with a field lost.
     #[test]
-    fn cell_json_echoes_the_spec() {
+    fn cell_record_round_trips_and_checks_its_echo() {
         let spec = CellSpec {
             workload: WorkloadKind::RbTree,
             runtime: RuntimeKind::Rstm,
@@ -385,10 +429,89 @@ mod tests {
             wall_s: 0.25,
         };
         let line = result.to_json(&spec);
-        assert!(line.starts_with("{\"workload\": \"RBTree\", \"runtime\": \"RSTM\""));
-        assert!(line.contains("\"cm\": \"Timid\""));
-        assert!(line.contains("\"seed\": \"0xABCD\""));
-        assert!(line.contains("\"digest\": \"00ff00ff00ff00ff\""));
-        assert!(line.ends_with('}'));
+        assert_eq!(
+            line,
+            "{\"workload\": \"RBTree\", \"runtime\": \"RSTM\", \"cm\": \"Timid\", \
+             \"threads\": 4, \"sig_bits\": 1024, \"seed\": \"0xABCD\", \
+             \"txns_per_thread\": 8, \"warmup_per_thread\": 2, \"committed\": 32, \
+             \"attempts\": 40, \"sim_ops\": 1000, \"sim_cycles\": 2000, \
+             \"digest\": \"00ff00ff00ff00ff\", \"wall_s\": 0.250000}"
+        );
+        let doc = crate::json::parse(&line).expect("record parses");
+        assert_eq!(CellResult::from_json(&doc, &spec), Ok(result.clone()));
+        assert_eq!(doc.encode(), line);
+
+        let other = CellSpec {
+            threads: 8,
+            ..spec.clone()
+        };
+        assert_eq!(
+            CellResult::from_json(&doc, &other),
+            Err(RecordError::OtherCell(spec.canonical_json()))
+        );
+        let Json::Obj(mut pairs) = doc else {
+            unreachable!("a record is an object")
+        };
+        pairs.retain(|(k, _)| k != "digest");
+        assert!(matches!(
+            CellResult::from_json(&Json::Obj(pairs), &spec),
+            Err(RecordError::Malformed(_))
+        ));
+    }
+
+    /// The `sched_bench` line parses with the codec, reads back every
+    /// field with its type, and re-encodes byte for byte.
+    #[test]
+    fn sched_record_round_trips() {
+        let record = SchedRecord {
+            bench: "sched_64core_hashtable".to_string(),
+            threads: 64,
+            txns_per_thread: 1536,
+            committed: 98304,
+            attempts: 105291,
+            sim_ops: 683699,
+            sim_cycles: 531018,
+            fast_ops: 212195,
+            slow_ops: 137300,
+            grants: 137299,
+            rendezvous_per_op: 0.8571,
+            wall_s: 0.432,
+            sim_ops_per_s: 1591007.0,
+            sim_cycles_per_s: 1229208.0,
+            engine: "fiber",
+            warmup_per_thread: 8,
+            seed: 0xF1E7,
+        };
+        let line = record.to_json();
+        let doc = crate::json::parse(&line).expect("sched_bench output parses");
+        assert_eq!(
+            doc.get("bench").and_then(Json::as_str),
+            Some("sched_64core_hashtable")
+        );
+        for (key, want) in [
+            ("threads", 64),
+            ("txns_per_thread", 1536),
+            ("committed", 98304),
+            ("attempts", 105291),
+            ("sim_ops", 683699),
+            ("sim_cycles", 531018),
+            ("fast_ops", 212195),
+            ("slow_ops", 137300),
+            ("grants", 137299),
+            ("warmup_per_thread", 8),
+            ("seed", 0xF1E7),
+        ] {
+            assert_eq!(doc.get(key).and_then(Json::as_u64), Some(want), "{key}");
+        }
+        for (key, want) in [
+            ("rendezvous_per_op", 0.8571),
+            ("wall_s", 0.432),
+            ("sim_ops_per_s", 1591007.0),
+            ("sim_cycles_per_s", 1229208.0),
+        ] {
+            assert_eq!(doc.get(key).and_then(Json::as_f64), Some(want), "{key}");
+        }
+        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("fiber"));
+        assert_eq!(doc.encode(), line);
     }
 }

@@ -13,7 +13,7 @@
 //! | `fig5_multiprog` | Fig. 5(e–f) multiprogramming mix |
 //! | `ablation_overflow` | §7.3 OT vs. unbounded victim buffer |
 //! | `table4_flexwatcher` | Table 4 FlexWatcher vs. Discover |
-//! | `micro` | Criterion micro-benchmarks of the primitives |
+//! | `micro` | `std::time` micro-benchmarks of the primitives |
 //!
 //! Sizing: `FLEXTM_TXNS` (timed transactions per thread, default 96)
 //! and `FLEXTM_MAX_THREADS` (default 16) trade fidelity for wall-clock
@@ -24,9 +24,13 @@
 pub mod cell;
 pub mod envcfg;
 
+/// The repository's JSON codec, re-exported for the crates above this
+/// one (the sweep farm reaches it through here).
+pub use flextm_trace::json;
+
 pub use cell::{
-    cm_from_label, cm_label, run_cell, run_cell_timed, sim_ops, CellResult, CellSpec, SchedRecord,
-    SchedRunParams,
+    cm_from_label, cm_label, run_cell, run_cell_timed, sim_ops, CellResult, CellSpec, RecordError,
+    SchedRecord,
 };
 
 use flextm::{CmKind, FlexTm, FlexTmConfig, Mode};

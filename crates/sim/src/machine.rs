@@ -841,6 +841,17 @@ impl Machine {
         })
     }
 
+    /// The execution engine this machine built: `"fiber"` (the default
+    /// on x86_64 Linux) or `"os_threads"` (requested by
+    /// [`MachineConfig::os_threads`], and the only engine elsewhere).
+    pub fn engine(&self) -> &'static str {
+        match self.shared.engine {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Engine::Fibers(_) => "fiber",
+            Engine::Threads(_) => "os_threads",
+        }
+    }
+
     /// Claims the machine for `caller`, refusing while a run (or
     /// another borrow) holds it and once a run has been poisoned.
     fn claim(&self, caller: &str) -> Claim<'_> {
@@ -1126,6 +1137,16 @@ mod tests {
         for (i, c) in r.cores.iter().enumerate() {
             assert_eq!(c.cycle_sum(), r.core_cycles[i]);
         }
+    }
+
+    #[test]
+    fn engine_names_the_engine_the_machine_built() {
+        let mut cfg = MachineConfig::small_test();
+        let fibers = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+        let want = if fibers { "fiber" } else { "os_threads" };
+        assert_eq!(Machine::new(cfg.clone()).engine(), want);
+        cfg.os_threads = true;
+        assert_eq!(Machine::new(cfg).engine(), "os_threads");
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]

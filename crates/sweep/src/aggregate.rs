@@ -13,6 +13,7 @@
 //! appear — so `scripts/verify.sh` can assert that a cached re-run
 //! emits byte-identical files.
 
+use crate::json::Json;
 use crate::runner::Outcome;
 use flextm::CmKind;
 use flextm_bench::{cm_label, CellSpec, RuntimeKind, WorkloadKind};
@@ -195,31 +196,22 @@ pub fn emit_tables(spec_name: &str, series: &[Series]) -> String {
 /// matrix (the serial `--in-process` mode, a cached re-run, another
 /// host).
 pub fn emit_cells_json(spec_name: &str, outcomes: &[Outcome]) -> String {
-    let mut out = format!(
-        concat!(
-            "{{\n \"spec\": \"{}\",\n",
-            " \"methodology\": \"deterministic simulated results per cell; ",
-            "medians across the seed axis; host wall times excluded\",\n",
-            " \"cells\": [\n"
+    let cells = outcomes
+        .iter()
+        .map(|o| o.result.sim_value(&o.cell))
+        .collect();
+    Json::obj([
+        ("spec", Json::str(spec_name)),
+        (
+            "methodology",
+            Json::str(
+                "deterministic simulated results per cell; \
+                 medians across the seed axis; host wall times excluded",
+            ),
         ),
-        spec_name
-    );
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let spec_json = outcome.cell.canonical_json();
-        out.push_str(&format!(
-            "  {}, \"committed\": {}, \"attempts\": {}, \"sim_ops\": {}, \
-             \"sim_cycles\": {}, \"digest\": \"{}\"}}{}\n",
-            &spec_json[..spec_json.len() - 1],
-            outcome.result.committed,
-            outcome.result.attempts,
-            outcome.result.sim_ops,
-            outcome.result.sim_cycles,
-            outcome.result.digest,
-            if i + 1 < outcomes.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(" ]\n}\n");
-    out
+        ("cells", Json::Arr(cells)),
+    ])
+    .encode_lines()
 }
 
 #[cfg(test)]
@@ -306,9 +298,7 @@ mod tests {
         // And it parses back with our own codec.
         let doc = crate::json::parse(&json).expect("emitted JSON parses");
         assert_eq!(
-            doc.get("cells")
-                .and_then(crate::json::Json::as_arr)
-                .map(<[_]>::len),
+            doc.get("cells").and_then(Json::as_arr).map(<[_]>::len),
             Some(4)
         );
     }

@@ -36,6 +36,7 @@
 //! or spec errors.
 
 use flextm_sweep::aggregate::{aggregate, emit_cells_json, emit_tables};
+use flextm_sweep::json::Json;
 use flextm_sweep::runner::{run_sweep, Outcome, RunnerConfig};
 use flextm_sweep::spec::{cell_from_json, MatrixSpec};
 use flextm_sweep::store::{binary_fingerprint, config_hash, git_rev, Store};
@@ -236,24 +237,22 @@ fn main() {
     write_outputs(&args, &spec, &outcomes);
 
     // The machine-readable summary the smoke test asserts on.
-    println!(
-        concat!(
-            "{{\"spec\": \"{}\", \"cells\": {}, \"executed\": {}, ",
-            "\"cached\": {}, \"failed\": {}, \"jobs\": {}, \"wall_s\": {:.3}}}"
-        ),
-        spec.name,
-        cells.len(),
-        executed,
-        cached,
-        failed,
-        if args.in_process {
-            1
-        } else {
-            args.jobs
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-        },
-        t0.elapsed().as_secs_f64(),
-    );
+    let jobs = if args.in_process {
+        1
+    } else {
+        args.jobs
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    };
+    let summary = Json::obj([
+        ("spec", Json::str(&spec.name)),
+        ("cells", Json::num_u64(cells.len() as u64)),
+        ("executed", Json::num_u64(executed as u64)),
+        ("cached", Json::num_u64(cached as u64)),
+        ("failed", Json::num_u64(failed as u64)),
+        ("jobs", Json::num_u64(jobs as u64)),
+        ("wall_s", Json::num_fixed(t0.elapsed().as_secs_f64(), 3)),
+    ]);
+    println!("{}", summary.encode());
     if failed > 0 {
         std::process::exit(1);
     }

@@ -17,10 +17,12 @@
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
-pub mod json;
 pub mod runner;
 pub mod spec;
 pub mod store;
+
+/// The repository's JSON codec (`flextm_trace::json`).
+pub use flextm_bench::json;
 
 pub use runner::{run_sweep, Outcome, RunnerConfig, SweepOutcome};
 pub use spec::{cell_from_json, MatrixSpec, SpecError};

@@ -11,7 +11,6 @@
 //! failing is reported per-cell with its stderr, and the rest of the
 //! matrix completes regardless.
 
-use crate::spec::cell_from_json;
 use crate::store::Store;
 use flextm_bench::{CellResult, CellSpec};
 use std::collections::VecDeque;
@@ -248,34 +247,8 @@ fn wait_with_timeout(
 /// here, not as silently mislabeled data).
 pub fn parse_cell_record(cell: &CellSpec, line: &str) -> Result<CellResult, String> {
     let doc = crate::json::parse(line).map_err(|e| format!("bad cell record: {e}"))?;
-    let echoed = cell_from_json(line).map_err(|e| format!("bad cell echo: {e}"))?;
-    if echoed != *cell {
-        return Err(format!(
-            "child ran a different cell: asked {}, got {}",
-            cell.canonical_json(),
-            echoed.canonical_json()
-        ));
-    }
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(crate::json::Json::as_u64)
-            .ok_or_else(|| format!("cell record missing \"{key}\": {line}"))
-    };
-    Ok(CellResult {
-        committed: num("committed")?,
-        attempts: num("attempts")?,
-        sim_ops: num("sim_ops")?,
-        sim_cycles: num("sim_cycles")?,
-        digest: doc
-            .get("digest")
-            .and_then(crate::json::Json::as_str)
-            .ok_or_else(|| format!("cell record missing \"digest\": {line}"))?
-            .to_string(),
-        wall_s: doc
-            .get("wall_s")
-            .and_then(crate::json::Json::as_f64)
-            .unwrap_or(0.0),
-    })
+    CellResult::from_json(&doc, cell)
+        .map_err(|e| format!("{e}; asked for {}", cell.canonical_json()))
 }
 
 #[cfg(test)]

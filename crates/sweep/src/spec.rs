@@ -86,103 +86,50 @@ impl MatrixSpec {
     /// `workloads`, `runtimes` and `threads` are required.
     pub fn from_json(text: &str) -> Result<MatrixSpec, SpecError> {
         let doc = parse(text).map_err(|e| SpecError(e.to_string()))?;
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError("missing \"name\"".to_string()))?
-            .to_string();
-        let str_axis = |key: &str| -> Result<Option<Vec<String>>, SpecError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    let arr = v
-                        .as_arr()
-                        .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
-                    arr.iter()
-                        .map(|item| {
-                            item.as_str().map(str::to_string).ok_or_else(|| {
-                                SpecError(format!("\"{key}\" entries must be strings"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map(Some)
-                }
-            }
-        };
-        let num_axis = |key: &str| -> Result<Option<Vec<u64>>, SpecError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    let arr = v
-                        .as_arr()
-                        .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
-                    arr.iter()
-                        .map(|item| {
-                            item.as_u64().ok_or_else(|| {
-                                SpecError(format!("\"{key}\" entries must be unsigned numbers"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map(Some)
-                }
-            }
-        };
-
-        let workloads = str_axis("workloads")?
-            .ok_or_else(|| SpecError("missing \"workloads\"".to_string()))?
-            .iter()
-            .map(|s| {
-                WorkloadKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown workload {s:?}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let runtimes = str_axis("runtimes")?
-            .ok_or_else(|| SpecError("missing \"runtimes\"".to_string()))?
-            .iter()
-            .map(|s| {
-                RuntimeKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown runtime {s:?}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let cms = match str_axis("cm")? {
-            None => vec![CmKind::Polka],
-            Some(labels) => labels
-                .iter()
-                .map(|s| {
-                    cm_from_label(s).ok_or_else(|| SpecError(format!("unknown CM policy {s:?}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let threads = num_axis("threads")?
-            .ok_or_else(|| SpecError("missing \"threads\"".to_string()))?
-            .into_iter()
-            .map(|t| t as usize)
-            .collect();
-        let sig_bits = num_axis("sig_bits")?
-            .unwrap_or_else(|| vec![2048])
-            .into_iter()
-            .map(|b| b as usize)
-            .collect();
-        let seeds = num_axis("seeds")?.unwrap_or_else(|| vec![0xF1E7]);
-        let txns_per_thread = match doc.get("txns_per_thread") {
-            None => 96,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| SpecError("\"txns_per_thread\" must be a number".to_string()))?,
-        };
-
         let spec = MatrixSpec {
-            name,
-            workloads,
-            runtimes,
-            cms,
-            threads,
-            sig_bits,
-            seeds,
-            txns_per_thread,
+            name: doc.str_field("name").map_err(SpecError)?.to_string(),
+            workloads: axis(&doc, "workloads", None, |j| {
+                j.as_str().and_then(WorkloadKind::from_label)
+            })?,
+            runtimes: axis(&doc, "runtimes", None, |j| {
+                j.as_str().and_then(RuntimeKind::from_label)
+            })?,
+            cms: axis(&doc, "cm", Some(CmKind::Polka), |j| {
+                j.as_str().and_then(cm_from_label)
+            })?,
+            threads: axis(&doc, "threads", None, |j| j.as_u64().map(|t| t as usize))?,
+            sig_bits: axis(&doc, "sig_bits", Some(2048), |j| {
+                j.as_u64().map(|b| b as usize)
+            })?,
+            seeds: axis(&doc, "seeds", Some(0xF1E7), Json::as_u64)?,
+            txns_per_thread: match doc.get("txns_per_thread") {
+                None => 96,
+                Some(_) => doc.u64_field("txns_per_thread").map_err(SpecError)?,
+            },
         };
         spec.validate()?;
         Ok(spec)
+    }
+
+    /// The spec as its canonical JSON document (what
+    /// [`MatrixSpec::from_json`] reads).
+    pub fn to_value(&self) -> Json {
+        fn arr<T>(items: &[T], item: impl Fn(&T) -> Json) -> Json {
+            Json::Arr(items.iter().map(item).collect())
+        }
+        Json::obj([
+            ("name", Json::str(&self.name)),
+            ("workloads", arr(&self.workloads, |w| Json::str(w.label()))),
+            ("runtimes", arr(&self.runtimes, |r| Json::str(r.label()))),
+            ("cm", arr(&self.cms, |&c| Json::str(cm_label(c)))),
+            ("threads", arr(&self.threads, |&t| Json::num_u64(t as u64))),
+            (
+                "sig_bits",
+                arr(&self.sig_bits, |&b| Json::num_u64(b as u64)),
+            ),
+            ("seeds", arr(&self.seeds, |&s| Json::hex(s))),
+            ("txns_per_thread", Json::num_u64(self.txns_per_thread)),
+        ])
     }
 
     /// Rejects matrices a cell would panic on (so a bad spec fails
@@ -196,6 +143,16 @@ impl MatrixSpec {
             || self.seeds.is_empty()
         {
             return Err(SpecError("every axis needs at least one entry".to_string()));
+        }
+        // A repeated value would run (and count) the same cells twice,
+        // and two farm workers would race on one store entry.
+        if let Json::Obj(axes) = self.to_value() {
+            for (axis, values) in &axes {
+                if let Some(value) = values.as_arr().and_then(first_repeat) {
+                    let value = value.encode();
+                    return Err(SpecError(format!("axis \"{axis}\" repeats {value}")));
+                }
+            }
         }
         for &t in &self.threads {
             if t == 0 || t > 128 {
@@ -261,100 +218,43 @@ impl MatrixSpec {
         }
         cells
     }
+}
 
-    /// The spec re-encoded as its canonical JSON document.
-    pub fn canonical_json(&self) -> String {
-        let axis = |items: Vec<Json>| Json::Arr(items);
-        Json::Obj(vec![
-            ("name".to_string(), Json::str(&self.name)),
-            (
-                "workloads".to_string(),
-                axis(
-                    self.workloads
-                        .iter()
-                        .map(|w| Json::str(w.label()))
-                        .collect(),
-                ),
-            ),
-            (
-                "runtimes".to_string(),
-                axis(self.runtimes.iter().map(|r| Json::str(r.label())).collect()),
-            ),
-            (
-                "cm".to_string(),
-                axis(self.cms.iter().map(|&c| Json::str(cm_label(c))).collect()),
-            ),
-            (
-                "threads".to_string(),
-                axis(
-                    self.threads
-                        .iter()
-                        .map(|&t| Json::num_u64(t as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "sig_bits".to_string(),
-                axis(
-                    self.sig_bits
-                        .iter()
-                        .map(|&b| Json::num_u64(b as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "seeds".to_string(),
-                axis(
-                    self.seeds
-                        .iter()
-                        .map(|&s| Json::str(format!("0x{s:X}")))
-                        .collect(),
-                ),
-            ),
-            (
-                "txns_per_thread".to_string(),
-                Json::num_u64(self.txns_per_thread),
-            ),
-        ])
-        .encode()
-    }
+/// Reads axis `key` of a spec document: an array whose entries all
+/// decode through `item`, or `[default]` when the key is absent.
+fn axis<T>(
+    doc: &Json,
+    key: &str,
+    default: Option<T>,
+    item: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, SpecError> {
+    let Some(values) = doc.get(key) else {
+        return default
+            .map(|d| vec![d])
+            .ok_or_else(|| SpecError(format!("missing \"{key}\"")));
+    };
+    let values = values
+        .as_arr()
+        .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
+    values
+        .iter()
+        .map(|v| item(v).ok_or_else(|| SpecError(format!("\"{key}\": bad entry {}", v.encode()))))
+        .collect()
+}
+
+/// The first item of `items` that also appears earlier in it.
+fn first_repeat<T: PartialEq>(items: &[T]) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find_map(|(i, item)| items[..i].contains(item).then_some(item))
 }
 
 /// Parses a [`CellSpec`] from its canonical JSON (the `--run-cell`
-/// transport and the store's config echo).
+/// transport): [`CellSpec::from_json`] on a parsed document.
 pub fn cell_from_json(text: &str) -> Result<CellSpec, SpecError> {
     let doc = parse(text).map_err(|e| SpecError(e.to_string()))?;
-    let field = |key: &str| {
-        doc.get(key)
-            .ok_or_else(|| SpecError(format!("missing \"{key}\"")))
-    };
-    let workload = field("workload")?
-        .as_str()
-        .and_then(WorkloadKind::from_label)
-        .ok_or_else(|| SpecError("bad \"workload\"".to_string()))?;
-    let runtime = field("runtime")?
-        .as_str()
-        .and_then(RuntimeKind::from_label)
-        .ok_or_else(|| SpecError("bad \"runtime\"".to_string()))?;
-    let cm = field("cm")?
-        .as_str()
-        .and_then(cm_from_label)
-        .ok_or_else(|| SpecError("bad \"cm\"".to_string()))?;
-    let num = |key: &str| -> Result<u64, SpecError> {
-        field(key)?
-            .as_u64()
-            .ok_or_else(|| SpecError(format!("bad \"{key}\"")))
-    };
-    Ok(CellSpec {
-        workload,
-        runtime,
-        cm,
-        threads: num("threads")? as usize,
-        sig_bits: num("sig_bits")? as usize,
-        seed: num("seed")?,
-        txns_per_thread: num("txns_per_thread")?,
-        warmup_per_thread: num("warmup_per_thread")?,
-    })
+    CellSpec::from_json(&doc).map_err(SpecError)
 }
 
 #[cfg(test)]
@@ -393,7 +293,7 @@ mod tests {
     #[test]
     fn spec_json_round_trips() {
         let spec = MatrixSpec::builtin("fig4_hashtable").unwrap();
-        let parsed = MatrixSpec::from_json(&spec.canonical_json()).unwrap();
+        let parsed = MatrixSpec::from_json(&spec.to_value().encode()).unwrap();
         assert_eq!(parsed, spec);
     }
 
@@ -427,8 +327,17 @@ mod tests {
             ("non-power-of-two signature", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1], \"sig_bits\": [1000]}"),
             ("empty axis", "{\"name\": \"t\", \"workloads\": [], \"runtimes\": [\"CGL\"], \"threads\": [1]}"),
             ("bad name", "{\"name\": \"a/b\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1]}"),
+            ("repeated thread count", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1, 1, 2]}"),
+            ("repeated runtime", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\", \"TL2\", \"CGL\"], \"threads\": [1]}"),
+            ("repeated seed", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1], \"seeds\": [\"0x1\", 1]}"),
         ] {
             assert!(MatrixSpec::from_json(text).is_err(), "{label} should fail");
         }
+        let err = MatrixSpec::from_json(
+            "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \
+             \"runtimes\": [\"CGL\"], \"threads\": [1, 2, 2]}",
+        )
+        .unwrap_err();
+        assert_eq!(err.0, "axis \"threads\" repeats 2");
     }
 }

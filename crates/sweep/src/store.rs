@@ -17,9 +17,8 @@
 //! audit.
 
 use crate::json::{parse, Json};
-use crate::spec::cell_from_json;
 use flextm_bench::cell::{fnv1a, FNV_OFFSET};
-use flextm_bench::{CellResult, CellSpec};
+use flextm_bench::{CellResult, CellSpec, RecordError};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -112,16 +111,20 @@ impl Store {
         &self.bin_fp
     }
 
+    fn key(&self, cell: &CellSpec) -> String {
+        format!("{}-{}", config_hash(cell), self.bin_fp)
+    }
+
     fn path_for(&self, cell: &CellSpec) -> PathBuf {
-        self.dir
-            .join(format!("{}-{}.json", config_hash(cell), self.bin_fp))
+        self.dir.join(format!("{}.json", self.key(cell)))
     }
 
     /// Looks `cell` up. A present-but-unreadable entry (truncated
     /// write, schema drift) is treated as a miss — the cell re-runs
-    /// and overwrites it — but a *mismatched echo* (the stored config
-    /// is not the one hashed) is a hard error: that means key
-    /// collision or store corruption, and serving it would be wrong.
+    /// and overwrites it — but a *mismatched echo* (the stored record
+    /// is of another cell than the one hashed) is a hard error: that
+    /// means key collision or store corruption, and serving it would
+    /// be wrong.
     pub fn lookup(&self, cell: &CellSpec) -> io::Result<Option<StoredCell>> {
         let path = self.path_for(cell);
         let text = match fs::read_to_string(&path) {
@@ -132,82 +135,48 @@ impl Store {
         let Ok(doc) = parse(&text) else {
             return Ok(None);
         };
-        let Some(config) = doc.get("config").map(Json::encode) else {
+        let Some(record) = doc.get("cell") else {
             return Ok(None);
         };
-        match cell_from_json(&config) {
-            Ok(stored_spec) if stored_spec == *cell => {}
-            _ => {
+        let result = match CellResult::from_json(record, cell) {
+            Ok(result) => result,
+            Err(RecordError::Malformed(_)) => return Ok(None),
+            Err(e @ RecordError::OtherCell(_)) => {
                 return Err(io::Error::other(format!(
-                    "store entry {} echoes a different cell config (collision or corruption); \
+                    "store entry {}: {e} (collision or corruption); \
                      delete the store directory to recover",
                     path.display()
                 )));
             }
-        }
-        let Some(result) = doc.get("result") else {
-            return Ok(None);
         };
-        let field = |key: &str| result.get(key).and_then(Json::as_u64);
-        let (Some(committed), Some(attempts), Some(sim_ops), Some(sim_cycles)) = (
-            field("committed"),
-            field("attempts"),
-            field("sim_ops"),
-            field("sim_cycles"),
-        ) else {
-            return Ok(None);
-        };
-        let Some(digest) = result.get("digest").and_then(Json::as_str) else {
-            return Ok(None);
-        };
-        let wall_s = result.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0);
         let git_rev = doc
             .get("meta")
             .and_then(|m| m.get("git_rev"))
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        Ok(Some(StoredCell {
-            result: CellResult {
-                committed,
-                attempts,
-                sim_ops,
-                sim_cycles,
-                digest: digest.to_string(),
-                wall_s,
-            },
-            git_rev,
-        }))
+        Ok(Some(StoredCell { result, git_rev }))
     }
 
-    /// Files a completed cell. Written to a temporary sibling and
-    /// renamed, so concurrent workers (or a killed sweep) can never
-    /// leave a half-written entry under the final name.
+    /// Files a completed cell: its record ([`CellResult::record`])
+    /// under its key, with the provenance. Written to a temporary
+    /// sibling and renamed, so concurrent workers (or a killed sweep)
+    /// can never leave a half-written entry under the final name.
     pub fn insert(&self, cell: &CellSpec, result: &CellResult) -> io::Result<()> {
-        let path = self.path_for(cell);
-        let entry = format!(
-            concat!(
-                "{{\"key\": \"{}-{}\",\n",
-                " \"config\": {},\n",
-                " \"result\": {{\"committed\": {}, \"attempts\": {}, ",
-                "\"sim_ops\": {}, \"sim_cycles\": {}, \"digest\": \"{}\", ",
-                "\"wall_s\": {:.6}}},\n",
-                " \"meta\": {{\"git_rev\": \"{}\", \"bin_fp\": \"{}\"}}}}\n"
+        let entry = Json::obj([
+            ("key", Json::str(self.key(cell))),
+            ("cell", result.record(cell)),
+            (
+                "meta",
+                Json::obj([
+                    ("git_rev", Json::str(&self.git_rev)),
+                    ("bin_fp", Json::str(&self.bin_fp)),
+                ]),
             ),
-            config_hash(cell),
-            self.bin_fp,
-            cell.canonical_json(),
-            result.committed,
-            result.attempts,
-            result.sim_ops,
-            result.sim_cycles,
-            result.digest,
-            result.wall_s,
-            self.git_rev,
-            self.bin_fp,
-        );
+        ]);
+        let path = self.path_for(cell);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, entry)?;
+        fs::write(&tmp, entry.encode_lines())?;
         fs::rename(&tmp, &path)
     }
 }
@@ -216,6 +185,8 @@ impl Store {
 mod tests {
     use super::*;
     use crate::spec::MatrixSpec;
+    use flextm::CmKind;
+    use flextm_bench::{RuntimeKind, WorkloadKind};
 
     fn sample_cell() -> CellSpec {
         MatrixSpec::builtin("smoke2x2").unwrap().expand().remove(0)
@@ -241,6 +212,29 @@ mod tests {
         dir
     }
 
+    /// Store keys are a function of these exact bytes: a drift in the
+    /// encoding would silently orphan every stored cell.
+    #[test]
+    fn canonical_json_and_config_hash_are_pinned() {
+        let cell = CellSpec {
+            workload: WorkloadKind::HashTable,
+            runtime: RuntimeKind::Cgl,
+            cm: CmKind::Polka,
+            threads: 1,
+            sig_bits: 2048,
+            seed: 0xF1E7,
+            txns_per_thread: 16,
+            warmup_per_thread: 8,
+        };
+        assert_eq!(
+            cell.canonical_json(),
+            "{\"workload\": \"HashTable\", \"runtime\": \"CGL\", \"cm\": \"Polka\", \
+             \"threads\": 1, \"sig_bits\": 2048, \"seed\": \"0xF1E7\", \
+             \"txns_per_thread\": 16, \"warmup_per_thread\": 8}"
+        );
+        assert_eq!(config_hash(&cell), "7a094c3b99f5980da0a915292f111d1f");
+    }
+
     #[test]
     fn insert_then_lookup_round_trips() {
         let dir = temp_dir("roundtrip");
@@ -252,6 +246,10 @@ mod tests {
         let hit = store.lookup(&cell).unwrap().expect("hit after insert");
         assert_eq!(hit.result, result);
         assert_eq!(hit.git_rev, "abc123");
+        // The entry file is the codec's file layout, byte for byte.
+        let text = fs::read_to_string(store.path_for(&cell)).unwrap();
+        assert!(text.starts_with("{\n \"key\": "), "{text}");
+        assert_eq!(parse(&text).unwrap().encode_lines(), text);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,11 +1,13 @@
-//! A small, dependency-free JSON codec for the sweep farm.
+//! The repository's one JSON codec: every record a tool writes or
+//! reads goes through it — attempt traces, sweep specs, cell records,
+//! store entries, and the stdout lines of `sched_bench`,
+//! `fingerprint`, `proto_check` and `sweep`.
 //!
-//! The offline build environment has no serde, so — like the
-//! `flextm-trace` crate before it — the farm carries its own codec.
-//! Unlike trace's schema-specific scanner, this one parses arbitrary
-//! JSON values (the matrix specs, cell records, store entries, and
-//! `sched_bench` output all flow through it). Two properties matter
-//! here more than generality:
+//! The offline build environment has no serde, so the repository
+//! carries its own. Each record type keeps its encoder and decoder
+//! side by side in the module that owns the type and builds or reads
+//! [`Json`] values; nothing formats JSON by hand. Two properties
+//! matter more than generality:
 //!
 //! - **Numbers keep their source text.** A [`Json::Num`] stores the
 //!   raw token and only converts on access, so serializing a parsed
@@ -51,21 +53,26 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`. Accepts plain decimals and — because the
-    /// bench records print seeds that way — `"0x…"` hex *strings*.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as a `u128`. Accepts plain decimals and — because the
+    /// records print seeds that way — `"0x…"` hex *strings*.
+    pub fn as_u128(&self) -> Option<u128> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             Json::Str(s) => {
                 let t = s.trim();
                 if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                    u64::from_str_radix(hex, 16).ok()
+                    u128::from_str_radix(hex, 16).ok()
                 } else {
                     t.parse().ok()
                 }
             }
             _ => None,
         }
+    }
+
+    /// The value as a `u64` ([`Json::as_u128`], range-checked).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_u128()?.try_into().ok()
     }
 
     /// The value as an `f64`.
@@ -92,12 +99,61 @@ impl Json {
         }
     }
 
+    /// Field `key` of an object, or an error naming it.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing \"{key}\""))
+    }
+
+    /// Field `key` as a `u64` ([`Json::as_u64`]), or an error naming it.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?
+            .as_u64()
+            .ok_or_else(|| format!("bad \"{key}\""))
+    }
+
+    /// Field `key` as a string, or an error naming it.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("bad \"{key}\""))
+    }
+
     /// Serializes with the repo's record style: `", "` between items
     /// and `": "` after keys — the same spacing every bench binary
     /// prints, so parse→serialize is the identity on their output.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
+        out
+    }
+
+    /// Serializes a document that is written as a file: each member of
+    /// the top-level object on its own line, and each item of an array
+    /// member on its own line; deeper values stay on one line. Ends with
+    /// a newline. This is the layout of the sweep's `*_cells.json` and
+    /// store entries, which keeps them readable and diffable.
+    pub fn encode_lines(&self) -> String {
+        let Json::Obj(pairs) = self else {
+            return self.encode() + "\n";
+        };
+        let mut out = String::from("{");
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            out.push_str(if i == 0 { "\n " } else { ",\n " });
+            write_escaped(k, &mut out);
+            out.push_str(": ");
+            match v {
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str(if j == 0 { "\n  " } else { ",\n  " });
+                        item.write(&mut out);
+                    }
+                    out.push_str("\n ]");
+                }
+                v => v.write(&mut out),
+            }
+        }
+        out.push_str("\n}\n");
         out
     }
 
@@ -365,8 +421,13 @@ impl Parser<'_> {
     }
 }
 
-/// Convenience constructors for building documents to emit.
+/// Constructors for building documents to emit.
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// An unsigned integer.
     pub fn num_u64(v: u64) -> Json {
         Json::Num(v.to_string())
@@ -380,6 +441,23 @@ impl Json {
     /// A string.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
+    }
+
+    /// A seed as the records print it: an upper-case hex string.
+    pub fn hex(v: u64) -> Json {
+        Json::Str(format!("0x{v:X}"))
+    }
+
+    /// Appends `pairs` to an object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not an object.
+    pub fn extend<K: Into<String>>(&mut self, pairs: impl IntoIterator<Item = (K, Json)>) {
+        let Json::Obj(own) = self else {
+            panic!("Json::extend on a non-object");
+        };
+        own.extend(pairs.into_iter().map(|(k, v)| (k.into(), v)));
     }
 }
 
@@ -417,6 +495,41 @@ mod tests {
             doc.get("big").and_then(Json::as_u64),
             Some(9223372036854775809)
         );
+    }
+
+    #[test]
+    fn wide_numbers_and_hex_strings_read_as_u128() {
+        let doc =
+            parse("{\"mask\": 170141183460469231731687303715884105729, \"seed\": \"0xF1E7\"}")
+                .unwrap();
+        assert_eq!(doc.get("mask").and_then(Json::as_u128), Some(1 << 127 | 1));
+        assert_eq!(
+            doc.get("mask").and_then(Json::as_u64),
+            None,
+            "overflows u64"
+        );
+        assert_eq!(doc.get("seed").and_then(Json::as_u128), Some(0xF1E7));
+    }
+
+    #[test]
+    fn file_layout_breaks_top_level_members_and_array_items() {
+        let doc = Json::obj([
+            ("spec", Json::str("s")),
+            (
+                "cells",
+                Json::Arr(vec![
+                    Json::obj([("a", Json::num_u64(1))]),
+                    Json::obj([("a", Json::num_u64(2))]),
+                ]),
+            ),
+            ("none", Json::Arr(vec![])),
+        ]);
+        let text = doc.encode_lines();
+        assert_eq!(
+            text,
+            "{\n \"spec\": \"s\",\n \"cells\": [\n  {\"a\": 1},\n  {\"a\": 2}\n ],\n \"none\": [\n ]\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap(), doc);
     }
 
     #[test]

@@ -4,19 +4,27 @@
 //! per interesting attempt event — begin, conflict, stall, abort,
 //! commit — tagged with the software thread id, the attempt sequence
 //! number and the core's simulated clock. This crate owns the record
-//! type, a dependency-free JSONL encoding ([`to_jsonl`] /
-//! [`parse_jsonl`] round-trip exactly), and the human-readable
-//! abort-breakdown table ([`abort_table`]) that `sched_bench --trace`
-//! and the workload harness print.
+//! type, its JSONL encoding ([`to_jsonl`] / [`parse_jsonl`] round-trip
+//! exactly), and the human-readable abort-breakdown table
+//! ([`abort_table`]) that `sched_bench --trace` and the workload
+//! harness print.
 //!
-//! The encoder is deterministic: fixed key order, no whitespace
-//! variation, records pre-sorted by the producer — so two runs of the
+//! It is also the record layer for every crate above it: [`json`] is
+//! the repository's one JSON codec, which traces, sweep specs, cell
+//! records, store entries and the bench binaries' stdout lines all go
+//! through.
+//!
+//! The encoder is deterministic: fixed key order, the codec's fixed
+//! spacing, records pre-sorted by the producer — so two runs of the
 //! same seeded workload serialize to byte-identical output, which the
 //! determinism suite pins.
 
 #![forbid(unsafe_code)]
 
+pub mod json;
+
 use flextm_sim::{AbortCause, ConflictKind, MachineReport};
+use json::Json;
 
 /// Classification of a conflict observed by a running attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,47 +140,42 @@ fn class_from_name(s: &str) -> Option<ConflictClass> {
 }
 
 /// Serializes records as JSONL: one JSON object per line, fixed key
-/// order (`tid`, `seq`, `clock`, `ev`, then event payload keys), no
-/// extra whitespace. Deterministic: equal record slices serialize to
-/// byte-identical strings.
+/// order (`tid`, `seq`, `clock`, `ev`, then event payload keys).
+/// Deterministic: equal record slices serialize to byte-identical
+/// strings.
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
-    use std::fmt::Write;
     let mut out = String::with_capacity(records.len() * 64);
     for r in records {
-        write!(
-            out,
-            "{{\"tid\":{},\"seq\":{},\"clock\":{},",
-            r.tid, r.seq, r.clock
-        )
-        .expect("write to String cannot fail");
+        let mut pairs = vec![
+            ("tid", Json::num_u64(r.tid)),
+            ("seq", Json::num_u64(r.seq)),
+            ("clock", Json::num_u64(r.clock)),
+        ];
         match r.ev {
-            TraceEv::Begin => out.push_str("\"ev\":\"begin\""),
-            TraceEv::Conflict { enemy, kind } => {
-                write!(
-                    out,
-                    "\"ev\":\"conflict\",\"enemy\":{},\"kind\":\"{}\"",
-                    enemy,
-                    class_name(kind)
-                )
-                .expect("write to String cannot fail");
-            }
-            TraceEv::Stall { cycles } => {
-                write!(out, "\"ev\":\"stall\",\"cycles\":{cycles}")
-                    .expect("write to String cannot fail");
-            }
+            TraceEv::Begin => pairs.push(("ev", Json::str("begin"))),
+            TraceEv::Conflict { enemy, kind } => pairs.extend([
+                ("ev", Json::str("conflict")),
+                ("enemy", Json::num_u64(enemy)),
+                ("kind", Json::str(class_name(kind))),
+            ]),
+            TraceEv::Stall { cycles } => pairs.extend([
+                ("ev", Json::str("stall")),
+                ("cycles", Json::num_u64(cycles)),
+            ]),
             TraceEv::Abort { cause, enemy } => {
-                write!(out, "\"ev\":\"abort\",\"cause\":\"{}\"", cause_name(cause))
-                    .expect("write to String cannot fail");
-                if let Some(e) = enemy {
-                    write!(out, ",\"enemy\":{e}").expect("write to String cannot fail");
-                }
+                pairs.extend([
+                    ("ev", Json::str("abort")),
+                    ("cause", Json::str(cause_name(cause))),
+                ]);
+                pairs.extend(enemy.map(|e| ("enemy", Json::num_u64(e))));
             }
-            TraceEv::Commit { enemies } => {
-                write!(out, "\"ev\":\"commit\",\"enemies\":{enemies}")
-                    .expect("write to String cannot fail");
-            }
+            TraceEv::Commit { enemies } => pairs.extend([
+                ("ev", Json::str("commit")),
+                ("enemies", Json::Num(enemies.to_string())),
+            ]),
         }
-        out.push_str("}\n");
+        out.push_str(&Json::obj(pairs).encode());
+        out.push('\n');
     }
     out
 }
@@ -194,55 +197,32 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// A parsed JSON scalar: this schema only ever holds unsigned integers
-/// and plain (escape-free) strings. Numbers are carried at the widest
-/// width any field needs (the commit enemy mask is 128-bit); narrower
-/// fields range-check on extraction.
-enum Val<'a> {
-    Num(u128),
-    Str(&'a str),
-}
-
-/// Parses one `{"key":value,...}` object of the trace schema into
-/// key/value pairs. Not a general JSON parser: values are unsigned
-/// integers or escape-free strings, which is all the encoder emits.
-fn parse_object(line: &str) -> Result<Vec<(&str, Val<'_>)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a {...} object")?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let r = rest.strip_prefix('"').ok_or("expected '\"' before key")?;
-        let (key, r) = r.split_once('"').ok_or("unterminated key")?;
-        let r = r.strip_prefix(':').ok_or("expected ':' after key")?;
-        let (val, r) = if let Some(s) = r.strip_prefix('"') {
-            let (v, r) = s.split_once('"').ok_or("unterminated string value")?;
-            (Val::Str(v), r)
-        } else {
-            let end = r.find(',').unwrap_or(r.len());
-            let (digits, tail) = r.split_at(end);
-            let n = digits
-                .parse::<u128>()
-                .map_err(|_| format!("bad number {digits:?}"))?;
-            (Val::Num(n), tail)
-        };
-        pairs.push((key, val));
-        rest = val_rest_comma(r)?;
-    }
-    Ok(pairs)
-}
-
-fn val_rest_comma(r: &str) -> Result<&str, String> {
-    if r.is_empty() {
-        Ok(r)
-    } else {
-        r.strip_prefix(',')
-            .map(|s| s.trim_start())
-            .ok_or_else(|| format!("expected ',' before {r:?}"))
-    }
+/// Decodes one trace line's object.
+fn record_from_json(doc: &Json) -> Result<TraceRecord, String> {
+    let ev = match doc.str_field("ev")? {
+        "begin" => TraceEv::Begin,
+        "conflict" => TraceEv::Conflict {
+            enemy: doc.u64_field("enemy")?,
+            kind: class_from_name(doc.str_field("kind")?).ok_or("unknown conflict kind")?,
+        },
+        "stall" => TraceEv::Stall {
+            cycles: doc.u64_field("cycles")?,
+        },
+        "abort" => TraceEv::Abort {
+            cause: cause_from_name(doc.str_field("cause")?).ok_or("unknown abort cause")?,
+            enemy: doc.u64_field("enemy").ok(),
+        },
+        "commit" => TraceEv::Commit {
+            enemies: doc.field("enemies")?.as_u128().ok_or("bad \"enemies\"")?,
+        },
+        other => return Err(format!("unknown ev {other:?}")),
+    };
+    Ok(TraceRecord {
+        tid: doc.u64_field("tid")?,
+        seq: doc.u64_field("seq")?,
+        clock: doc.u64_field("clock")?,
+        ev,
+    })
 }
 
 /// Parses a JSONL trace produced by [`to_jsonl`].
@@ -251,67 +231,19 @@ fn val_rest_comma(r: &str) -> Result<&str, String> {
 ///
 /// Returns a [`TraceParseError`] naming the first malformed line.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let err = |message: String| TraceParseError {
-            line: i + 1,
-            message,
-        };
-        let pairs = parse_object(line).map_err(err)?;
-        let wide = |key: &str| -> Result<u128, TraceParseError> {
-            pairs
-                .iter()
-                .find_map(|(k, v)| match v {
-                    Val::Num(n) if *k == key => Some(*n),
-                    _ => None,
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            json::parse(line)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| record_from_json(&doc))
+                .map_err(|message| TraceParseError {
+                    line: i + 1,
+                    message,
                 })
-                .ok_or_else(|| err(format!("missing numeric field {key:?}")))
-        };
-        let num = |key: &str| -> Result<u64, TraceParseError> {
-            wide(key)?
-                .try_into()
-                .map_err(|_| err(format!("field {key:?} overflows u64")))
-        };
-        let text_field = |key: &str| -> Result<&str, TraceParseError> {
-            pairs
-                .iter()
-                .find_map(|(k, v)| match v {
-                    Val::Str(s) if *k == key => Some(*s),
-                    _ => None,
-                })
-                .ok_or_else(|| err(format!("missing string field {key:?}")))
-        };
-        let ev = match text_field("ev")? {
-            "begin" => TraceEv::Begin,
-            "conflict" => TraceEv::Conflict {
-                enemy: num("enemy")?,
-                kind: class_from_name(text_field("kind")?)
-                    .ok_or_else(|| err("unknown conflict kind".into()))?,
-            },
-            "stall" => TraceEv::Stall {
-                cycles: num("cycles")?,
-            },
-            "abort" => TraceEv::Abort {
-                cause: cause_from_name(text_field("cause")?)
-                    .ok_or_else(|| err("unknown abort cause".into()))?,
-                enemy: num("enemy").ok(),
-            },
-            "commit" => TraceEv::Commit {
-                enemies: wide("enemies")?,
-            },
-            other => return Err(err(format!("unknown ev {other:?}"))),
-        };
-        records.push(TraceRecord {
-            tid: num("tid")?,
-            seq: num("seq")?,
-            clock: num("clock")?,
-            ev,
-        });
-    }
-    Ok(records)
+        })
+        .collect()
 }
 
 /// Renders the per-run abort-breakdown and cycle-bucket table from a
@@ -432,9 +364,29 @@ mod tests {
                 clock: 500,
                 ev: TraceEv::Commit { enemies: 0b101 },
             },
+            TraceRecord {
+                tid: 1,
+                seq: 2,
+                clock: 700,
+                ev: TraceEv::Conflict {
+                    enemy: 9,
+                    kind: ConflictClass::Summary,
+                },
+            },
+            TraceRecord {
+                tid: 2,
+                seq: 1,
+                clock: 900,
+                // Cores 0, 64 and 127 of a 128-core machine: above 2^64.
+                ev: TraceEv::Commit {
+                    enemies: 1 | 1 << 64 | 1 << 127,
+                },
+            },
         ]
     }
 
+    /// All five event kinds, both abort forms, and a commit mask above
+    /// 2^64 survive encode → parse → encode.
     #[test]
     fn jsonl_round_trips_exactly() {
         let records = sample();
@@ -449,8 +401,8 @@ mod tests {
         let text = to_jsonl(&sample()[..2]);
         assert_eq!(
             text,
-            "{\"tid\":0,\"seq\":1,\"clock\":20,\"ev\":\"begin\"}\n\
-             {\"tid\":0,\"seq\":1,\"clock\":90,\"ev\":\"conflict\",\"enemy\":3,\"kind\":\"threatened\"}\n"
+            "{\"tid\": 0, \"seq\": 1, \"clock\": 20, \"ev\": \"begin\"}\n\
+             {\"tid\": 0, \"seq\": 1, \"clock\": 90, \"ev\": \"conflict\", \"enemy\": 3, \"kind\": \"threatened\"}\n"
         );
     }
 

@@ -2,7 +2,10 @@
 # Repo verification gate: tier-1 (build + tests) plus lints.
 #
 # Runs everything CI would:
-#   1. tier-1 from ROADMAP.md: cargo build --release && cargo test -q
+#   1. tier-1 from ROADMAP.md: cargo build --release && cargo test -q,
+#      then the benchmark lockfile check: perfbench/ resolves against
+#      its committed Cargo.lock without rewriting it (a dependency edge
+#      added to or removed from a crate it reaches fails here)
 #   2. cargo clippy --workspace -- -D warnings
 #   3. cargo fmt --check
 #   4. cargo bench --workspace --no-run (benches must keep compiling)
@@ -19,7 +22,8 @@
 #   6. trace-enabled determinism pass (release): the attempt-trace
 #      JSONL must be byte-identical across seeded runs
 #   7. sched_bench --trace smoke: the abort-attribution table and
-#      JSONL trace render end to end
+#      JSONL trace render end to end, and the stdout record names the
+#      fiber engine it ran on
 #   8. 64- and 128-core smoke: the wide HashTable runs complete with
 #      the always-on invariant layer armed (release determinism test)
 #   9. hot-state gates (release): the banked-directory property suite
@@ -33,7 +37,7 @@
 #      refactor
 #  11. bench-crate tests (flextm-bench is not a workspace
 #      default-member, so tier-1 `cargo test` skips it): env parsing,
-#      cell records, entry points
+#      cell and sched_bench record round trips, entry points
 #  12. sweep farm smoke: the 2x2 smoke matrix runs twice against a
 #      fresh store; the second run must execute zero cells (pure cache)
 #      and emit byte-identical tables/JSON
@@ -47,6 +51,10 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== benchmark lockfile: perfbench resolves without rewriting Cargo.lock =="
+cargo metadata -q --offline --locked --format-version 1 \
+    --manifest-path perfbench/Cargo.toml >/dev/null
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -151,11 +159,18 @@ cargo test -q --release -p flextm-workloads --test determinism \
 
 echo "== sched_bench --trace smoke =="
 trace_out="$(mktemp)"
-FLEXTM_SCHED_TXNS=8 FLEXTM_TRACE_OUT="$trace_out" \
-    cargo run -q --release -p flextm-bench --bin sched_bench -- --protocol --trace \
-    > /dev/null
+sched_json="$(FLEXTM_SCHED_TXNS=8 FLEXTM_TRACE_OUT="$trace_out" \
+    cargo run -q --release -p flextm-bench --bin sched_bench -- --protocol --trace)"
+echo "$sched_json"
 test -s "$trace_out" || { echo "sched_bench --trace wrote no records"; exit 1; }
 rm -f "$trace_out"
+case "$sched_json" in
+*'"engine": "fiber"'*) ;;
+*)
+    echo "sched_bench did not run on (or did not report) the fiber engine"
+    exit 1
+    ;;
+esac
 
 echo "== 64/128-core smoke (wide machines, invariants + byte-identical replay) =="
 cargo test -q --release -p flextm-workloads --test determinism \
